@@ -27,6 +27,7 @@ from .estimator import (
     EstimatorConfig,
     bound_curve,
     collect_threshold,
+    default_sample_size,
     estimate_entropy_rate,
 )
 from .generate import (
@@ -132,7 +133,6 @@ def _estimator_config(args) -> EstimatorConfig:
         sample_size=args.samples,
         max_extension_length=args.ext_max,
         min_count=args.nmin,
-        seed=args.seed,
     )
 
 
@@ -163,7 +163,7 @@ def cmd_estimate(args) -> int:
     manifest = RunManifest(
         subcommand="estimate",
         config=_resolved_estimate_config(args, k),
-        seed=args.seed,
+        seed=None,
         input_digest=input_digest,
         version=__version__,
     )
@@ -232,7 +232,7 @@ def cmd_sync(args) -> int:
     min_count = (
         args.collect_min
         if args.collect_min is not None
-        else collect_threshold(len(stream), 10)
+        else collect_threshold(len(stream), EstimatorConfig.min_count)
     )
     table = build_count_table(stream, length)
     result = find_sync_string(table, length, min_count)
@@ -274,11 +274,7 @@ def cmd_bounds(args) -> int:
     if not alphas:
         raise InvalidParameterError("need at least one alpha")
     k = args.alphabet_size
-    samples = (
-        args.samples
-        if args.samples is not None
-        else round(1e7 * float(np.log2(k)) ** 2)
-    )
+    samples = args.samples if args.samples is not None else default_sample_size(k)
     manifest = RunManifest(
         subcommand="bounds",
         config={
@@ -312,7 +308,7 @@ def cmd_benchmark(args) -> int:
         config=dict(
             _resolved_estimate_config(args, k), checkpoints=marks, method="both"
         ),
-        seed=args.seed,
+        seed=None,
         input_digest=input_digest,
         version=__version__,
     )
@@ -382,13 +378,11 @@ def _add_input_flags(p):
 def _add_estimator_flags(p):
     p.add_argument("--epsilon", type=float, default=0.05, help="derivative tolerance")
     p.add_argument("--alpha", type=float, default=0.95, help="confidence level")
-    p.add_argument("--samples", type=int, default=None, help="extension sample count")
-    p.add_argument("--ext-max", type=int, default=None, help="longest sampled extension")
-    p.add_argument("--nmin", type=int, default=10, help="extension count floor")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    p.add_argument("--samples", type=int, default=None, help="extension count N the bound's sampling term assumes")
+    p.add_argument("--ext-max", type=int, default=None, help="longest extension")
+    p.add_argument("--nmin", type=int, default=EstimatorConfig.min_count, help="extension count floor")
     p.add_argument("--search-length", type=int, default=None, help="sync search depth")
     p.add_argument("--collect-min", type=int, default=None, help="sync phase count floor")
-    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; single-threaded")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,10 +1,13 @@
 """Entropy rate estimation with an explicit uncertainty bound.
 
-Phase II samples random extension words behind the synchronizing word,
-clusters their symbolic derivatives, and averages cluster entropies into the
-rate estimate.  Phase III inverts a finite-sample deviation inequality to
-report how far the estimate can be from the truth at the requested
-confidence level.
+Phase II averages the symbolic derivatives of extension words w behind the
+synchronizing word x0.  An extension has a uniform length l in 0..ext_max
+and uniform symbols, so each word w carries the exact weight
+k^-l / (ext_max + 1); every stored word x0·w is enumerated once at that
+weight, its derivative is clustered, and the weighted cluster entropies form
+the rate estimate.  No random draw is involved.  Phase III inverts a
+finite-sample deviation inequality to report how far the estimate can be
+from the truth at the requested confidence level.
 """
 
 import math
@@ -17,21 +20,33 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .streams import Alphabet, CountTable, SymbolStream, build_count_table, entropy
+from .streams import CountTable, SymbolStream, build_count_table, entropy
 from .sync import SyncResult, candidate_length, find_sync_string
 
 _BOUNDARY_TOL = 1e-9
 _GRID_POINTS = 200
 
 
+def default_sample_size(alphabet_size: int) -> int:
+    """Default extension count N for the bound: 1e7 * log2(k)^2.
+
+    It targets the regime where the sampling penalty in the bound is
+    negligible.
+    """
+    if alphabet_size < 2:
+        raise InvalidParameterError("alphabet must have at least two symbols")
+    return round(1e7 * math.log2(alphabet_size) ** 2)
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Knobs for the sampling estimator.
+    """Knobs for the estimator.
 
-    ``sample_size`` and ``max_extension_length`` default per alphabet size:
-    the sample count targets the regime where the sampling penalty in the
-    bound is negligible, and the extension length keeps the pool of distinct
-    extensions around a few hundred.
+    Phase II weighs extensions exactly, so ``sample_size`` draws nothing: it
+    is the extension count N that the bound's sampling term assumes, and
+    defaults to ``default_sample_size``.  ``max_extension_length`` defaults
+    per alphabet size so that the pool of extensions stays around a few
+    hundred words.  ``seed`` no longer affects any result.
     """
 
     epsilon: float
@@ -58,7 +73,7 @@ class EstimatorConfig:
     def resolved_sample_size(self, alphabet_size: int) -> int:
         if self.sample_size is not None:
             return self.sample_size
-        return round(1e7 * math.log2(alphabet_size) ** 2)
+        return default_sample_size(alphabet_size)
 
     def resolved_extension_length(self, alphabet_size: int) -> int:
         if self.max_extension_length is not None:
@@ -91,84 +106,47 @@ def gen_binary_entropy(eps: float, alphabet_size: int) -> float:
     )
 
 
-def _draw_extensions(cfg: EstimatorConfig, alphabet_size: int):
-    """Raw extension sample: per-sample lengths plus one flat symbol array."""
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.resolved_sample_size(alphabet_size)
-    ext_max = cfg.resolved_extension_length(alphabet_size)
-    lengths = rng.integers(0, ext_max + 1, size=n)
-    flat = rng.integers(0, alphabet_size, size=int(lengths.sum()))
-    return lengths, flat
-
-
-def sample_extensions(cfg: EstimatorConfig, alphabet: Alphabet) -> list:
-    """The extension sample as explicit word tuples, in draw order."""
-    lengths, flat = _draw_extensions(cfg, alphabet.size)
-    out = []
-    pos = 0
-    for ell in lengths:
-        ell = int(ell)
-        out.append(tuple(int(v) for v in flat[pos : pos + ell]))
-        pos += ell
-    return out
-
-
-def _distinct_extensions(cfg: EstimatorConfig, alphabet_size: int):
-    """Distinct sampled extensions in first-seen order with multiplicities.
-
-    First-fit clustering assigns every repeat of a word to the same cluster
-    as its first occurrence, so collapsing the sample this way leaves the
-    cluster table bit-identical while touching each distinct word once.
-    """
-    lengths, flat = _draw_extensions(cfg, alphabet_size)
-    ext_max = cfg.resolved_extension_length(alphabet_size)
-    n = len(lengths)
-    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(np.int64)
-    codes = np.zeros(n, dtype=np.int64)
-    for j in range(ext_max):
-        mask = lengths > j
-        codes[mask] = codes[mask] * alphabet_size + flat[starts[mask] + j]
-    # words of different lengths share codes; shift each length onto its own range
-    offsets = np.concatenate(
-        [[0], np.cumsum(alphabet_size ** np.arange(ext_max + 1, dtype=np.int64))]
-    )
-    combined = offsets[lengths] + codes
-    values, first_idx, counts = np.unique(
-        combined, return_index=True, return_counts=True
-    )
-    order = np.argsort(first_idx, kind="stable")
-    words = []
-    for v in values[order]:
-        length = int(np.searchsorted(offsets, v, side="right")) - 1
-        code = int(v - offsets[length])
-        word = []
-        for _ in range(length):
-            word.append(code % alphabet_size)
-            code //= alphabet_size
-        words.append(tuple(reversed(word)))
-    return words, counts[order].astype(np.int64), n
-
-
 class ClusterTable:
-    """Greedy first-fit clusters of distributions under the ∞-norm."""
+    """Greedy first-fit clusters of distributions under the ∞-norm.
 
-    __slots__ = ("epsilon", "representatives", "counts", "total")
+    A point joins the first representative, in founding order, that lies
+    within epsilon of it in every coordinate; otherwise it founds a cluster.
+    Representatives are the columns of one growing array, so each point
+    filters all of them one coordinate at a time, its heaviest coordinate
+    first, and stops as soon as no candidate is left.
+    """
+
+    __slots__ = ("epsilon", "_columns", "counts", "total")
 
     def __init__(self, epsilon: float):
         self.epsilon = epsilon
-        self.representatives = []
+        self._columns = np.empty((0, 0))
         self.counts = []
         self.total = 0
 
-    def add(self, dist: np.ndarray, multiplicity: int = 1):
-        for i, rep in enumerate(self.representatives):
-            if np.abs(dist - rep).max() <= self.epsilon:
-                self.counts[i] += multiplicity
-                self.total += multiplicity
-                return
-        self.representatives.append(dist)
-        self.counts.append(multiplicity)
+    @property
+    def representatives(self) -> np.ndarray:
+        """One row per cluster, in founding order."""
+        return self._columns[:, : len(self.counts)].T
+
+    def add(self, dist: np.ndarray, multiplicity=1):
+        """Add a point carrying weight ``multiplicity``."""
+        n = len(self.counts)
+        hits = np.arange(n)
+        for j in np.argsort(dist)[::-1]:
+            if not hits.size:
+                break
+            hits = hits[np.abs(self._columns[j, hits] - dist[j]) <= self.epsilon]
         self.total += multiplicity
+        if hits.size:
+            self.counts[hits[0]] += multiplicity
+            return
+        if n == self._columns.shape[1]:
+            # the first point sets the row count; capacity then doubles
+            rows = dist.size - self._columns.shape[0]
+            self._columns = np.pad(self._columns, ((0, rows), (0, max(n, 16))))
+        self._columns[:, n] = dist
+        self.counts.append(multiplicity)
 
     def mean_entropy(self) -> float:
         acc = 0.0
@@ -179,7 +157,14 @@ class ClusterTable:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Estimate plus everything needed to audit it."""
+    """Estimate plus everything needed to audit it.
+
+    ``samples_used`` is max(1, round(N * W)) for the configured sample size
+    N and the total weight W of the extensions whose count cleared
+    ``min_count``: the expected number of useful draws among N random
+    extensions.  ``samples_discarded`` is N minus that, and
+    ``cluster_count`` the number of first-fit clusters.
+    """
 
     entropy_rate: float
     bound: float
@@ -213,12 +198,12 @@ def solve_uncertainty(
     bisection.  When even tolerance 1 is infeasible the bound degrades to
     log2(k), flagged vacuous.
     """
+    if alphabet_size < 2:
+        raise InvalidParameterError("alphabet must have at least two symbols")
     if stream_length < 1 or sample_count < 1:
         raise InvalidParameterError("stream_length and sample_count must be positive")
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    if alphabet_size < 2:
-        raise InvalidParameterError("alphabet must have at least two symbols")
     if sync_frequency is not None and not 0.0 < sync_frequency <= 1.0:
         raise InvalidParameterError("sync_frequency must lie in (0, 1]")
 
@@ -287,7 +272,12 @@ def estimate(
     cfg: EstimatorConfig,
     table: CountTable,
 ) -> EstimateReport:
-    """Cluster derivatives behind the synchronizing word and average them."""
+    """Cluster derivatives behind the synchronizing word and average them.
+
+    Every extension w of length l <= ext_max counts at its exact weight
+    k^-l / (ext_max + 1); only words x0·w seen more than ``min_count`` times
+    contribute.
+    """
     k = stream.alphabet.size
     ext_max = cfg.resolved_extension_length(k)
     needed = len(sync.word) + ext_max
@@ -296,27 +286,41 @@ def estimate(
             f"count table covers words up to length {table.max_len}, "
             f"estimation needs {needed}"
         )
-    words, multiplicities, n_drawn = _distinct_extensions(cfg, k)
+    # Codes put the first symbol in the most significant digit, so the stored
+    # words x0·w of length |x0| + l fill the code range
+    # [code(x0)·k^l, (code(x0)+1)·k^l).  Words go in canonical order, by
+    # length and then by code: heaviest first, ties lexicographic.
+    base = table.encode(sync.word)
+    symbols = np.arange(k, dtype=np.int64)
     clusters = ClusterTable(cfg.epsilon)
-    for word, mult in zip(words, multiplicities):
-        extended = sync.word + word
-        succ = table.successor_counts(extended)
-        total = int(succ.sum())
-        if total <= cfg.min_count:
-            continue
-        clusters.add(succ / total, int(mult))
+    for ell in range(ext_max + 1):
+        length = len(sync.word) + ell
+        stored, stored_counts = table.level(length)
+        lo, hi = np.searchsorted(stored, [base * k**ell, (base + 1) * k**ell])
+        codes, counts = stored[lo:hi], stored_counts[lo:hi]
+        # a word's successors never outnumber its own occurrences
+        codes = codes[counts > cfg.min_count]
+        succ = table.counts_for_codes(
+            (codes[:, None] * k + symbols).ravel(), length + 1
+        ).reshape(-1, k)
+        weight = 1.0 / ((ext_max + 1) * k**ell)
+        for row, total in zip(succ, succ.sum(axis=1)):
+            if total > cfg.min_count:
+                clusters.add(row / total, weight)
     if clusters.total == 0:
         raise InsufficientDataError(
-            f"every sampled extension fell below {cfg.min_count} occurrences "
+            f"every extension fell below {cfg.min_count} occurrences "
             f"(extension lengths up to {ext_max}); provide a longer stream or "
             "lower min_count"
         )
     h = clusters.mean_entropy()
+    n_samples = cfg.resolved_sample_size(k)
+    samples_used = max(1, round(n_samples * clusters.total))
     eps_star, bound, vacuous = solve_uncertainty(
         len(stream),
         k,
         cfg.alpha,
-        clusters.total,
+        samples_used,
         sync.frequency,
     )
     return EstimateReport(
@@ -326,10 +330,10 @@ def estimate(
         epsilon_star=eps_star,
         sync_word=sync.word,
         sync_frequency=sync.frequency,
-        samples_used=clusters.total,
-        samples_discarded=n_drawn - clusters.total,
+        samples_used=samples_used,
+        samples_discarded=n_samples - samples_used,
         stream_length=len(stream),
-        cluster_count=len(clusters.representatives),
+        cluster_count=len(clusters.counts),
         vacuous=vacuous,
     )
 

@@ -103,9 +103,7 @@ def lz78_entropy_estimate(stream: SymbolStream) -> float:
     """
     if len(stream) == 0:
         raise InvalidInputError("entropy estimate needs at least one symbol")
-    parse = parse_lz78(stream)
-    c = parse.phrase_count
-    return float(c * np.log2(c) / parse.input_length)
+    return lz78_curve(stream, [len(stream)])[0][1]
 
 
 def lz78_curve(

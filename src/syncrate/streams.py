@@ -125,7 +125,8 @@ class CountTable:
     """Occurrence counts for every word of length <= max_len + 1 in a stream.
 
     Words present in the stream are stored per length as sorted int64 codes
-    with their counts; any absent word has count zero.  Built once, read only.
+    with their counts; any absent word has count zero.  Level 0 holds the
+    empty word, code 0, counted once per position.  Built once, read only.
     """
 
     __slots__ = ("alphabet", "stream_length", "max_len", "_levels")
@@ -155,8 +156,6 @@ class CountTable:
 
     def count(self, word) -> int:
         length = len(word)
-        if length == 0:
-            return self.stream_length
         if length > self.max_len + 1:
             raise InvalidInputError(
                 f"word of length {length} beyond table coverage {self.max_len + 1}"
@@ -169,8 +168,6 @@ class CountTable:
 
     def counts_for_codes(self, codes, length):
         """Counts for an array of word codes, all of the same length."""
-        if length == 0:
-            return np.full(len(codes), self.stream_length, dtype=np.int64)
         if length > self.max_len + 1:
             raise InvalidInputError(
                 f"word of length {length} beyond table coverage {self.max_len + 1}"
@@ -198,7 +195,7 @@ class CountTable:
 
     def level(self, length: int):
         """(codes, counts) arrays of all stored words of one length."""
-        if not 1 <= length <= self.max_len + 1:
+        if not 0 <= length <= self.max_len + 1:
             raise InvalidInputError(f"no stored level of length {length}")
         return self._levels[length]
 
@@ -230,7 +227,8 @@ def build_count_table(
                 f"count table would hold more than {max_entries} entries; "
                 "reduce max_len or raise max_entries explicitly"
             )
-    levels = [None] * (depth + 1)
+    levels = [(np.zeros(1, dtype=np.int64), np.array([n], dtype=np.int64))]
+    levels += [None] * depth
     data = s.data
     codes = None
     empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))

@@ -99,17 +99,6 @@ class TestEstimate:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_seed_changes_manifest(self, workdir, capsys):
-        outs = []
-        for seed in ("0", "1"):
-            _, out, _ = run(
-                ["estimate", "--input", str(workdir / "sync.raw"), "--tsv",
-                 "--seed", seed] + ESTIMATE_FLAGS[:-4],
-                capsys,
-            )
-            outs.append(out.splitlines()[1])
-        assert outs[0] != outs[1]
-
     def test_lz78_method(self, workdir, capsys):
         code, out, _ = run(
             ["estimate", "--input", str(workdir / "sync.raw"),
@@ -185,6 +174,16 @@ class TestBounds:
         assert code == 0
         value = float(out.splitlines()[2].split("\t")[1])
         assert value == pytest.approx(0.22076931065228933, abs=1e-9)
+
+    @pytest.mark.parametrize("k", ["1", "0"])
+    def test_alphabet_below_two_symbols_rejected(self, k, capsys):
+        code, out, err = run(
+            ["bounds", "--alphabet-size", k, "--lengths", "5000000"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "alphabet must have at least two symbols" in err
 
 
 class TestBenchmark:

@@ -1,6 +1,7 @@
-"""Sampling estimator, entropy-gap function, and the uncertainty solver."""
+"""Exact-weight estimator, entropy-gap function, and the uncertainty solver."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from syncrate import (
     InsufficientDataError,
     InvalidInputError,
     InvalidParameterError,
+    Pfsa,
     SymbolStream,
     bound_curve,
     build_count_table,
@@ -27,7 +29,7 @@ from syncrate import (
     two_state_nonsynchronizable,
     two_state_synchronizable,
 )
-from syncrate.estimator import ClusterTable, estimate, sample_extensions
+from syncrate.estimator import ClusterTable, estimate
 
 
 class TestGenBinaryEntropy:
@@ -124,41 +126,6 @@ class TestEstimatorConfig:
             cfg.epsilon = 0.2
 
 
-class TestSampleExtensions:
-    def test_trivial_sample(self):
-        cfg = EstimatorConfig(epsilon=0.1, sample_size=1, max_extension_length=0)
-        assert sample_extensions(cfg, BINARY) == [()]
-
-    def test_deterministic_per_seed(self):
-        cfg = EstimatorConfig(
-            epsilon=0.1, sample_size=50, max_extension_length=3, seed=5
-        )
-        first = sample_extensions(cfg, BINARY)
-        second = sample_extensions(cfg, BINARY)
-        assert first == second
-        other = dataclasses.replace(cfg, seed=6)
-        assert sample_extensions(other, BINARY) != first
-
-    def test_lengths_near_uniform(self):
-        cfg = EstimatorConfig(
-            epsilon=0.1, sample_size=100_000, max_extension_length=4, seed=0
-        )
-        words = sample_extensions(cfg, BINARY)
-        assert len(words) == 100_000
-        per_len = np.bincount([len(w) for w in words], minlength=5)
-        # binomial(1e5, 1/5) has sigma ~ 126; allow five
-        assert np.abs(per_len - 20_000).max() < 650
-
-    def test_symbols_near_uniform(self):
-        abc = Alphabet(("x", "y", "z"))
-        cfg = EstimatorConfig(
-            epsilon=0.1, sample_size=30_000, max_extension_length=4, seed=1
-        )
-        flat = [s for w in sample_extensions(cfg, abc) for s in w]
-        freqs = np.bincount(flat, minlength=3) / len(flat)
-        assert np.abs(freqs - 1 / 3).max() < 0.02
-
-
 class TestClusterTable:
     def test_first_fit_absorbs_within_tolerance(self):
         t = ClusterTable(0.1)
@@ -183,6 +150,36 @@ class TestClusterTable:
         t.add(np.array([0.5 + 1e-12, 0.5 - 1e-12]))
         assert len(t.representatives) == 2
         assert t.counts == [2, 1]
+
+    @given(
+        k=st.integers(min_value=2, max_value=4),
+        epsilon=st.sampled_from([0.0, 0.125, 0.25, 0.375, 0.1, 0.3]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_plain_first_fit(self, k, epsilon, data):
+        # points on a 1/8 grid sit exactly epsilon apart from each other
+        # for every grid tolerance; float points cover the general case
+        grid = st.lists(
+            st.integers(min_value=0, max_value=8), min_size=k - 1, max_size=k - 1
+        ).map(lambda cuts: np.diff([0] + sorted(cuts) + [8]) / 8)
+        floats = st.lists(
+            st.floats(min_value=0.01, max_value=1.0), min_size=k, max_size=k
+        ).map(lambda xs: np.array(xs) / sum(xs))
+        points = data.draw(st.lists(st.one_of(grid, floats), max_size=60))
+        weights = data.draw(
+            st.lists(
+                st.floats(min_value=1e-6, max_value=1.0),
+                min_size=len(points),
+                max_size=len(points),
+            )
+        )
+        t = ClusterTable(epsilon)
+        for dist, w in zip(points, weights):
+            t.add(dist, w)
+        reps, counts = plain_first_fit(points, weights, epsilon)
+        assert t.counts == counts
+        assert [list(r) for r in t.representatives] == [list(r) for r in reps]
 
 
 class TestSolveUncertainty:
@@ -332,36 +329,84 @@ class TestBoundCurve:
             bound_curve(2, 0.95, 10, None, [0, 50])
 
 
-def naive_estimate(stream, sync, cfg, table):
-    """Reference path: cluster every sampled extension one at a time."""
-    clusters = ClusterTable(cfg.epsilon)
-    for word in sample_extensions(cfg, stream.alphabet):
-        succ = table.successor_counts(sync.word + word)
-        total = int(succ.sum())
-        if total <= cfg.min_count:
-            continue
-        clusters.add(succ / total)
-    return clusters
+def plain_first_fit(points, weights, epsilon):
+    """Reference clustering: test each point against every representative."""
+    reps, counts = [], []
+    for dist, w in zip(points, weights):
+        for i, rep in enumerate(reps):
+            if np.abs(dist - rep).max() <= epsilon:
+                counts[i] += w
+                break
+        else:
+            reps.append(dist)
+            counts.append(w)
+    return reps, counts
+
+
+def reference_estimate(sync, cfg, table):
+    """Exact-weight Phase II by brute force over every pool word.
+
+    Returns (h, cluster count, samples_used).
+    """
+    k = table.alphabet.size
+    ext_max = cfg.resolved_extension_length(k)
+    points, weights = [], []
+    for ell in range(ext_max + 1):
+        for word in itertools.product(range(k), repeat=ell):
+            succ = table.successor_counts(sync.word + word)
+            total = int(succ.sum())
+            if total > cfg.min_count:
+                points.append(succ / total)
+                weights.append(1.0 / ((ext_max + 1) * k**ell))
+    reps, counts = plain_first_fit(points, weights, cfg.epsilon)
+    mass = sum(weights)
+    h = sum(c * entropy(r) for r, c in zip(reps, counts)) / mass
+    used = max(1, round(cfg.resolved_sample_size(k) * mass))
+    return h, len(reps), used
+
+
+def three_symbol_machine():
+    return Pfsa(
+        Alphabet(("a", "b", "c")),
+        [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+        [[0.7, 0.2, 0.1], [0.2, 0.3, 0.5], [0.1, 0.6, 0.3]],
+    )
 
 
 class TestEstimatePipeline:
-    def test_deduplicated_path_matches_naive_clustering(self):
-        machine = two_state_nonsynchronizable()
+    @pytest.mark.parametrize(
+        "machine,search_length,collect_min",
+        [(two_state_nonsynchronizable(), 5, 1500), (three_symbol_machine(), 2, 500)],
+        ids=["binary", "three-symbol"],
+    )
+    def test_enumeration_matches_reference(self, machine, search_length, collect_min):
         stream = simulate(machine, 20_000, seed=3)
         cfg = EstimatorConfig(
-            epsilon=0.05,
-            sample_size=500,
-            max_extension_length=3,
-            min_count=5,
-            seed=3,
+            epsilon=0.05, sample_size=500, max_extension_length=3, min_count=5
         )
-        table = build_count_table(stream, 8)
-        sync = find_sync_string(table, 5, 1500)
-        reference = naive_estimate(stream, sync, cfg, table)
+        table = build_count_table(stream, search_length + 3)
+        sync = find_sync_string(table, search_length, collect_min)
+        h, clusters, used = reference_estimate(sync, cfg, table)
         report = estimate(stream, sync, cfg, table)
-        assert report.entropy_rate == reference.mean_entropy()
-        assert report.samples_used == reference.total
-        assert report.cluster_count == len(reference.representatives)
+        assert clusters > 1
+        assert report.entropy_rate == h
+        assert report.cluster_count == clusters
+        assert report.samples_used == used
+        assert report.samples_discarded == 500 - used
+
+    def test_seed_does_not_change_report(self):
+        stream = simulate(two_state_nonsynchronizable(), 20_000, seed=2)
+        reports = [
+            estimate_entropy_rate(
+                stream,
+                EstimatorConfig(
+                    epsilon=0.05, sample_size=1_000, max_extension_length=3, seed=seed
+                ),
+                collect_min_count=300,
+            )
+            for seed in (0, 7)
+        ]
+        assert reports[0] == reports[1]
 
     def test_report_invariants(self):
         machine = two_state_synchronizable()

@@ -123,7 +123,8 @@ class TestCurve:
         s = SymbolStream(rng.integers(0, 2, size=20_000), BINARY)
         rows = lz78_curve(s, [100, 1_000, 20_000])
         assert [r[0] for r in rows] == [100, 1_000, 20_000]
-        assert rows[-1][1] == pytest.approx(lz78_entropy_estimate(s), abs=1e-12)
+        c = parse_lz78(s).phrase_count
+        assert rows[-1][1] == pytest.approx(c * np.log2(c) / 20_000, abs=1e-12)
 
     def test_each_checkpoint_matches_prefix_estimate(self):
         rng = np.random.default_rng(4)
@@ -131,8 +132,8 @@ class TestCurve:
         s = SymbolStream(data, ABC)
         rows = lz78_curve(s, [10, 500, 2_500, 5_000])
         for length, est in rows:
-            direct = lz78_entropy_estimate(SymbolStream(data[:length], ABC))
-            assert est == pytest.approx(direct, abs=1e-12)
+            c = parse_lz78(SymbolStream(data[:length], ABC)).phrase_count
+            assert est == pytest.approx(c * np.log2(c) / length, abs=1e-12)
 
     def test_empty_checkpoint_list(self):
         assert lz78_curve(stream_of([0, 1]), []) == []
