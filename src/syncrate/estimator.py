@@ -196,7 +196,9 @@ def solve_uncertainty(
     penalty falls monotonically in the tolerance, so the feasible tolerances
     form a right-open interval whose lower edge is found by grid scan plus
     bisection.  When even tolerance 1 is infeasible the bound degrades to
-    log2(k), flagged vacuous.
+    log2(k), flagged vacuous.  A bound above log2(k) says nothing an
+    entropy rate in [0, log2(k)] does not, so it is also reported as
+    log2(k), flagged vacuous, with the solved tolerance kept.
     """
     if alphabet_size < 2:
         raise InvalidParameterError("alphabet must have at least two symbols")
@@ -241,6 +243,8 @@ def solve_uncertainty(
     # the tolerance budget splits between two entropy comparisons, each off
     # by at most the worst-case entropy gap at half the tolerance
     bound = eps_star + 2.0 * gen_binary_entropy(eps_star / 2.0, alphabet_size)
+    if bound > math.log2(alphabet_size):
+        return eps_star, math.log2(alphabet_size), True
     return eps_star, bound, False
 
 

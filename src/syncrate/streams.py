@@ -205,9 +205,16 @@ def build_count_table(
 ) -> CountTable:
     """Count table covering every word length up to max_len + 1.
 
-    Matches the naive overlapping scan exactly.  Refuses tables whose distinct
-    word bound (sum over lengths of min(n, k**L)) exceeds ``max_entries`` or
-    whose codes would overflow int64.
+    Matches the naive overlapping scan exactly.  One sort does the work:
+    the windows of the deepest stored length min(max_len + 1, n) are
+    sorted and counted once, and each shorter level is derived from the
+    one above by dropping the last symbol of every code, merging the runs
+    that share a prefix, and adding the final window, which has no
+    successor.  Level 0 holds the empty word, counted n times.
+
+    Refuses tables whose distinct word bound (sum over lengths of
+    min(n, k**L)) exceeds ``max_entries`` or whose codes would overflow
+    int64.
     """
     if max_len < 0:
         raise InvalidInputError("max_len must be non-negative")
@@ -227,21 +234,34 @@ def build_count_table(
                 f"count table would hold more than {max_entries} entries; "
                 "reduce max_len or raise max_entries explicitly"
             )
-    levels = [(np.zeros(1, dtype=np.int64), np.array([n], dtype=np.int64))]
-    levels += [None] * depth
-    data = s.data
-    codes = None
     empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    for length in range(1, depth + 1):
-        if length > n:
-            levels[length] = empty
-            continue
-        if length == 1:
-            codes = data.astype(np.int64)
+    levels = [(np.zeros(1, dtype=np.int64), np.array([n], dtype=np.int64))]
+    levels += [empty] * depth
+    top = min(depth, n)
+    if top == 0:
+        return CountTable(s.alphabet, n, max_len, levels)
+    data = s.data
+    codes = data.astype(np.int64)
+    for length in range(2, top + 1):
+        codes = codes[:-1] * k + data[length - 1 :]
+    uniq, cnt = np.unique(codes, return_counts=True)
+    levels[top] = (uniq, cnt.astype(np.int64))
+    final = int(codes[-1])
+    for length in range(top - 1, 0, -1):
+        # every window but the final one is the prefix of a window one
+        # symbol longer; prefixes of sorted codes stay sorted
+        prefix = uniq // k
+        starts = np.flatnonzero(np.diff(prefix, prepend=-1))
+        uniq = prefix[starts]
+        cnt = np.add.reduceat(cnt, starts)
+        last = final % k**length
+        i = int(np.searchsorted(uniq, last))
+        if i < uniq.size and uniq[i] == last:
+            cnt[i] += 1
         else:
-            codes = codes[:-1] * k + data[length - 1 :]
-        uniq, cnt = np.unique(codes, return_counts=True)
-        levels[length] = (uniq, cnt.astype(np.int64))
+            uniq = np.insert(uniq, i, last)
+            cnt = np.insert(cnt, i, 1)
+        levels[length] = (uniq, cnt)
     return CountTable(s.alphabet, n, max_len, levels)
 
 

@@ -302,6 +302,48 @@ class TestExitCodes:
         assert code == 1
 
 
+EDGE_STREAMS = {
+    "empty": np.zeros(0, dtype=np.uint8),
+    "constant": np.zeros(5_000, dtype=np.uint8),
+    "one-symbol": np.ones(1, dtype=np.uint8),
+}
+
+
+class TestEdgeInputs:
+    @pytest.mark.parametrize(
+        "name, argv, expected",
+        [
+            ("empty", ["estimate", "--method", "lz78", "--tsv"], 1),
+            ("empty", ["estimate", "--tsv"], 2),
+            ("empty", ["benchmark", "--checkpoints", "1"], 1),
+            ("constant", ["estimate", "--method", "lz78", "--tsv"], 0),
+            ("constant", ["estimate", "--tsv"], 0),
+            ("constant", ["benchmark", "--checkpoints", "1000,5000"], 0),
+            ("one-symbol", ["estimate", "--method", "lz78", "--tsv"], 0),
+            ("one-symbol", ["estimate", "--tsv"], 2),
+            ("one-symbol", ["benchmark", "--checkpoints", "1"], 0),
+        ],
+    )
+    def test_documented_exit_code(self, name, argv, expected, tmp_path, capsys):
+        path = tmp_path / f"{name}.raw"
+        EDGE_STREAMS[name].tofile(path)
+        code, out, err = run(argv + ["--input", str(path)], capsys)
+        assert code == expected
+        if code:
+            assert err.startswith("syncrate: ")
+            return
+        rows = [line.split("\t") for line in out.splitlines()[2:]]
+        assert rows
+        if argv[0] == "benchmark":
+            h_lz = [float(row[3]) for row in rows]
+        elif "lz78" in argv:
+            h_lz = [float(rows[0][0])]
+        else:
+            assert float(rows[0][1]) == 1.0  # bound capped at log2(2)
+            return
+        assert all(np.isfinite(h) and h >= 0.0 for h in h_lz)
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "syncrate.cli", "--version"],

@@ -276,6 +276,13 @@ class TestSolveUncertainty:
         assert vac
         assert bound == pytest.approx(math.log2(27), abs=1e-12)
 
+    def test_bound_above_alphabet_entropy_is_capped(self):
+        # tolerance 0.258 is feasible, but 0.258 + 2 h(0.129) exceeds 1 bit
+        eps, bound, vac = solve_uncertainty(5_000, 2, 0.95, 10**7, 1.0)
+        assert vac
+        assert bound == 1.0
+        assert 0.0 < eps < 1.0
+
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameterError):
             solve_uncertainty(0, 2, 0.95, 10)
@@ -441,13 +448,19 @@ class TestEstimatePipeline:
         assert a == b
 
     def test_constant_stream_rate_zero(self):
+        # 5000 symbols support a tolerance near 0.26 only, whose bound
+        # passes log2(2) = 1 bit, so the bound is capped and flagged vacuous
         stream = SymbolStream(np.zeros(5_000, dtype=np.int64), BINARY)
-        cfg = EstimatorConfig(
-            epsilon=0.3, sample_size=100, max_extension_length=2, min_count=5
-        )
-        report = estimate_entropy_rate(stream, cfg)
-        assert report.entropy_rate == 0.0
-        assert not report.vacuous
+        for cfg in (
+            EstimatorConfig(
+                epsilon=0.3, sample_size=100, max_extension_length=2, min_count=5
+            ),
+            EstimatorConfig(epsilon=0.05),
+        ):
+            report = estimate_entropy_rate(stream, cfg)
+            assert report.entropy_rate == 0.0
+            assert report.vacuous
+            assert report.bound == 1.0
 
     def test_iid_closed_form(self):
         rng = np.random.default_rng(2)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syncrate import (
@@ -16,10 +16,73 @@ from syncrate import (
 )
 
 ABC = Alphabet(("a", "b", "c"))
+ALPHABETS = {k: Alphabet(tuple(str(i) for i in range(k))) for k in (2, 3, 27)}
 
 
 def stream_of(bits, alphabet=BINARY):
     return SymbolStream(list(bits), alphabet)
+
+
+def reference_parse(symbols):
+    """Plain per-symbol incremental parse, kept as the test oracle.
+
+    Returns the ``(parent, symbol)`` pairs, the unfinished tail, the end
+    offset of every complete phrase, and the phrase count of every prefix
+    (``counts[m]`` for the first m symbols, partial phrase included).
+    """
+    children = {}
+    pairs = []
+    tail = []
+    ends = []
+    counts = [0]
+    node = 0
+    for pos, sym in enumerate(symbols, start=1):
+        key = (node, sym)
+        nxt = children.get(key)
+        if nxt is None:
+            children[key] = len(pairs) + 1
+            pairs.append(key)
+            ends.append(pos)
+            tail = []
+            node = 0
+        else:
+            tail.append(sym)
+            node = nxt
+        counts.append(len(pairs) + (1 if node else 0))
+    return pairs, tuple(tail), ends, counts
+
+
+def reference_curve(symbols, marks):
+    counts = reference_parse(symbols)[3]
+    return [(m, float(counts[m] * np.log2(counts[m]) / m)) for m in marks]
+
+
+@st.composite
+def streams_with_marks(draw):
+    """A stream over k in {2, 3, 27} plus ascending checkpoints.
+
+    Streams are mixed, constant or a single symbol.  The checkpoints
+    stop at or before the stream's end and sit on, just before and just
+    after phrase ends of the reference parse.
+    """
+    k = draw(st.sampled_from(sorted(ALPHABETS)))
+    shape = draw(st.sampled_from(["mixed", "constant", "single"]))
+    sym = st.integers(min_value=0, max_value=k - 1)
+    if shape == "single":
+        symbols = [draw(sym)]
+    elif shape == "constant":
+        symbols = [draw(sym)] * draw(st.integers(min_value=1, max_value=300))
+    else:
+        symbols = draw(st.lists(sym, min_size=1, max_size=300))
+    last = draw(st.integers(min_value=1, max_value=len(symbols)))
+    ends = [e for e in reference_parse(symbols)[2] if e <= last]
+    near = set()
+    if ends:
+        for e in draw(st.lists(st.sampled_from(ends), max_size=3)):
+            near |= {e - 1, e, e + 1}
+    extra = draw(st.lists(st.integers(min_value=1, max_value=last), max_size=4))
+    marks = sorted({m for m in near | set(extra) if 1 <= m <= last} | {last})
+    return k, symbols, marks
 
 
 class TestParse:
@@ -59,6 +122,28 @@ class TestParse:
         for word in complete:
             for cut in range(1, len(word)):
                 assert word[:cut] in seen
+
+    def test_empty_stream(self):
+        parse = parse_lz78(stream_of([]))
+        assert parse.pairs == ()
+        assert parse.tail == ()
+        assert parse.phrase_count == 0
+        assert parse.reconstruct() == ()
+
+    @given(streams_with_marks())
+    @example((2, [0] * 6, [1, 2, 3, 6]))
+    @example((27, [26], [1]))
+    @example((3, [0, 1, 2, 0, 1, 2, 0], [2, 4]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_symbol_reference(self, case):
+        k, symbols, marks = case
+        s = SymbolStream(symbols, ALPHABETS[k])
+        pairs, tail, _ends, _counts = reference_parse(symbols)
+        parse = parse_lz78(s)
+        assert parse.pairs == tuple(pairs)
+        assert parse.tail == tail
+        assert parse.input_length == len(symbols)
+        assert lz78_curve(s, marks) == reference_curve(symbols, marks)
 
     @given(
         st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=200)
@@ -123,7 +208,8 @@ class TestCurve:
         s = SymbolStream(rng.integers(0, 2, size=20_000), BINARY)
         rows = lz78_curve(s, [100, 1_000, 20_000])
         assert [r[0] for r in rows] == [100, 1_000, 20_000]
-        c = parse_lz78(s).phrase_count
+        _pairs, _tail, _ends, counts = reference_parse(s.data.tolist())
+        c = counts[20_000]
         assert rows[-1][1] == pytest.approx(c * np.log2(c) / 20_000, abs=1e-12)
 
     def test_each_checkpoint_matches_prefix_estimate(self):
@@ -132,7 +218,8 @@ class TestCurve:
         s = SymbolStream(data, ABC)
         rows = lz78_curve(s, [10, 500, 2_500, 5_000])
         for length, est in rows:
-            c = parse_lz78(SymbolStream(data[:length], ABC)).phrase_count
+            _pairs, _tail, _ends, counts = reference_parse(data[:length].tolist())
+            c = counts[length]
             assert est == pytest.approx(c * np.log2(c) / length, abs=1e-12)
 
     def test_empty_checkpoint_list(self):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syncrate import (
@@ -30,6 +30,38 @@ def naive_count(seq, word):
 
 def stream_from(text):
     return SymbolStream.from_text(text, BINARY)
+
+
+def per_level_unique(data, k, max_len):
+    # reference oracle: one np.unique over the window codes of each length
+    n = data.size
+    levels = [(np.zeros(1, dtype=np.int64), np.array([n], dtype=np.int64))]
+    codes = None
+    for length in range(1, max_len + 2):
+        if length > n:
+            levels.append((np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)))
+            continue
+        if length == 1:
+            codes = data.astype(np.int64)
+        else:
+            codes = codes[:-1] * k + data[length - 1 :]
+        uniq, cnt = np.unique(codes, return_counts=True)
+        levels.append((uniq, cnt.astype(np.int64)))
+    return levels
+
+
+@st.composite
+def tables_to_build(draw):
+    """Stream and max_len; some streams end in a word seen nowhere else."""
+    k = draw(st.integers(min_value=2, max_value=27))
+    max_len = draw(st.integers(min_value=0, max_value=6))
+    if draw(st.booleans()):
+        # symbol k-1 appears only last, so every final window is unique
+        body = draw(st.lists(st.integers(min_value=0, max_value=k - 2), max_size=60))
+        seq = body + [k - 1]
+    else:
+        seq = draw(st.lists(st.integers(min_value=0, max_value=k - 1), max_size=60))
+    return k, seq, max_len
 
 
 class TestAlphabet:
@@ -109,6 +141,24 @@ class TestCountTable:
                 m = int(rng.integers(0, 6))
                 w = tuple(rng.integers(0, k, size=m))
                 assert t.count(w) == naive_count(seq, w)
+
+    @given(tables_to_build())
+    @example((2, [], 3))
+    @example((2, [1], 0))
+    @example((3, [0, 1], 4))
+    @example((27, [0, 0, 0, 0, 26], 2))
+    @settings(max_examples=300, deadline=None)
+    def test_levels_match_per_level_unique(self, case):
+        k, seq, max_len = case
+        s = SymbolStream(seq, Alphabet(tuple(str(i) for i in range(k))))
+        t = build_count_table(s, max_len)
+        expected = per_level_unique(s.data, k, max_len)
+        for length in range(max_len + 2):
+            codes, counts = t.level(length)
+            want_codes, want_counts = expected[length]
+            assert codes.dtype == np.int64 and counts.dtype == np.int64
+            assert np.array_equal(codes, want_codes)
+            assert np.array_equal(counts, want_counts)
 
     def test_empty_stream(self):
         t = build_count_table(SymbolStream([], BINARY), max_len=2)
