@@ -31,7 +31,6 @@ from .estimator import (
     estimate_entropy_rate,
 )
 from .generate import (
-    TEXT27,
     ChaoticMapConfig,
     chaotic_stream,
     iid_stream,
@@ -40,7 +39,12 @@ from .generate import (
 from .lz78 import lz78_curve, lz78_entropy_estimate
 from .pfsa import load_pfsa, simulate
 from .streams import BINARY, Alphabet, SymbolStream, build_count_table
-from .sync import candidate_length, collect_derivatives, find_sync_string
+from .sync import (
+    candidate_length,
+    collect_derivatives,
+    hull_vertex_words,
+    select_sync_string,
+)
 
 
 @dataclass(frozen=True)
@@ -235,7 +239,8 @@ def cmd_sync(args) -> int:
         else collect_threshold(len(stream), EstimatorConfig.min_count)
     )
     table = build_count_table(stream, length)
-    result = find_sync_string(table, length, min_count)
+    derivs = collect_derivatives(table, length, min_count)
+    result = select_sync_string(derivs, hull_vertex_words(derivs))
     manifest = RunManifest(
         subcommand="sync",
         config={
@@ -249,7 +254,6 @@ def cmd_sync(args) -> int:
         version=__version__,
     )
     if args.tsv:
-        derivs = collect_derivatives(table, length, min_count)
         columns = ["string", "count"] + [f"p_{c}" for c in stream.alphabet.labels]
         rows = []
         for word, (dist, cnt) in derivs.entries.items():
@@ -446,10 +450,7 @@ def main(argv=None) -> int:
     except InsufficientDataError as exc:
         print(f"syncrate: insufficient data: {exc}", file=sys.stderr)
         return 2
-    except (InvalidInputError, InvalidParameterError, EstimationError) as exc:
-        print(f"syncrate: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (EstimationError, OSError) as exc:
         print(f"syncrate: {exc}", file=sys.stderr)
         return 1
 

@@ -78,8 +78,6 @@ class EstimatorConfig:
     def resolved_extension_length(self, alphabet_size: int) -> int:
         if self.max_extension_length is not None:
             return self.max_extension_length
-        if alphabet_size == 2:
-            return 8
         return max(3, round(8 / math.log2(alphabet_size)))
 
 
@@ -185,8 +183,6 @@ def solve_uncertainty(
     alpha: float,
     sample_count: int,
     sync_frequency: float | None = None,
-    grid_points: int = _GRID_POINTS,
-    tol: float = _BOUNDARY_TOL,
 ):
     """Smallest deviation tolerance the stream supports at confidence alpha.
 
@@ -194,11 +190,13 @@ def solve_uncertainty(
     the 1 - alpha risk budget: finite-stream derivative noise, finite
     sampling of extensions, and never meeting the synchronizing word.  Each
     penalty falls monotonically in the tolerance, so the feasible tolerances
-    form a right-open interval whose lower edge is found by grid scan plus
-    bisection.  When even tolerance 1 is infeasible the bound degrades to
-    log2(k), flagged vacuous.  A bound above log2(k) says nothing an
-    entropy rate in [0, log2(k)] does not, so it is also reported as
-    log2(k), flagged vacuous, with the solved tolerance kept.
+    form a right-open interval.  Its lower edge is found by a scan of 200
+    geometric grid points in [1e-6, 1 - 1e-6], then bisection between 0 and
+    the first feasible one down to width 1e-9.  When even tolerance 1 is
+    infeasible the bound degrades to log2(k), flagged vacuous.  A bound
+    above log2(k) says nothing an entropy rate in [0, log2(k)] does not, so
+    it is also reported as log2(k), flagged vacuous, with the solved
+    tolerance kept.
     """
     if alphabet_size < 2:
         raise InvalidParameterError("alphabet must have at least two symbols")
@@ -221,7 +219,7 @@ def solve_uncertainty(
         return total
 
     lo_edge, hi_edge = 1e-6, 1.0 - 1e-6
-    grid = np.geomspace(lo_edge, hi_edge, grid_points)
+    grid = np.geomspace(lo_edge, hi_edge, _GRID_POINTS)
     feasible_at = None
     for g in grid:
         if penalty(float(g)) <= budget:
@@ -231,10 +229,8 @@ def solve_uncertainty(
         return 1.0, math.log2(alphabet_size), True
     lo = 0.0
     hi = feasible_at
-    while hi - lo > tol:
+    while hi - lo > _BOUNDARY_TOL:
         mid = 0.5 * (lo + hi)
-        if mid <= 0.0:
-            break
         if penalty(mid) <= budget:
             hi = mid
         else:
@@ -295,7 +291,6 @@ def estimate(
     # [code(x0)·k^l, (code(x0)+1)·k^l).  Words go in canonical order, by
     # length and then by code: heaviest first, ties lexicographic.
     base = table.encode(sync.word)
-    symbols = np.arange(k, dtype=np.int64)
     clusters = ClusterTable(cfg.epsilon)
     for ell in range(ext_max + 1):
         length = len(sync.word) + ell
@@ -304,9 +299,7 @@ def estimate(
         codes, counts = stored[lo:hi], stored_counts[lo:hi]
         # a word's successors never outnumber its own occurrences
         codes = codes[counts > cfg.min_count]
-        succ = table.counts_for_codes(
-            (codes[:, None] * k + symbols).ravel(), length + 1
-        ).reshape(-1, k)
+        succ = table.successor_rows(codes, length)
         weight = 1.0 / ((ext_max + 1) * k**ell)
         for row, total in zip(succ, succ.sum(axis=1)):
             if total > cfg.min_count:

@@ -9,6 +9,8 @@ the positive-arc graph must be strongly connected.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -22,7 +24,6 @@ from .streams import Alphabet, BINARY, SymbolStream, entropy
 
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
-_DENSE_SOLVE_LIMIT = 64
 
 
 class Pfsa:
@@ -83,12 +84,7 @@ def validate(p: Pfsa) -> None:
 
 def markov_matrix(p: Pfsa) -> np.ndarray:
     """State transition matrix: M[i, j] = total probability of moving i -> j."""
-    q = p.n_states
-    m = np.zeros((q, q))
-    for sym in range(p.alphabet.size):
-        active = p.pi[:, sym] > 0.0
-        np.add.at(m, (np.nonzero(active)[0], p.delta[active, sym]), p.pi[active, sym])
-    return m
+    return sum(transformation_matrix(p, sym) for sym in range(p.alphabet.size))
 
 
 def transformation_matrix(p: Pfsa, symbol: int) -> np.ndarray:
@@ -103,35 +99,26 @@ def transformation_matrix(p: Pfsa, symbol: int) -> np.ndarray:
 
 
 def stationary_distribution(p: Pfsa) -> np.ndarray:
-    """Unique stationary state distribution of the machine's Markov chain."""
+    """Unique stationary state distribution of the machine's Markov chain.
+
+    Solves d (M - I) = 0 with the last equation replaced by sum(d) = 1,
+    which is nonsingular for every strongly connected chain, periodic ones
+    included.  The result must satisfy d M = d to 1e-10.
+    """
     m = markov_matrix(p)
     q = m.shape[0]
-    if q <= _DENSE_SOLVE_LIMIT:
-        a = m.T - np.eye(q)
-        a[-1, :] = 1.0
-        b = np.zeros(q)
-        b[-1] = 1.0
-        try:
-            d = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"stationary solve failed: {exc}") from exc
-    else:
-        # power iteration on the lazy chain (M + I)/2, immune to periodicity
-        d = np.full(q, 1.0 / q)
-        half = 0.5 * (m + np.eye(q))
-        for _ in range(100_000):
-            nxt = d @ half
-            if np.abs(nxt - d).max() < 1e-14:
-                d = nxt
-                break
-            d = nxt
+    a = m.T - np.eye(q)
+    a[-1, :] = 1.0
+    b = np.zeros(q)
+    b[-1] = 1.0
+    try:
+        d = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"stationary solve failed: {exc}") from exc
     d = np.clip(d, 0.0, None)
-    total = d.sum()
-    if total <= 0.0:
-        raise NumericError("stationary distribution collapsed to zero mass")
-    d /= total
+    d /= d.sum()
     residual = np.abs(d @ m - d).max()
-    if residual > _STATIONARY_TOL:
+    if not residual <= _STATIONARY_TOL:
         raise NumericError(
             f"stationary residual {residual:.3e} above {_STATIONARY_TOL:.0e}"
         )
@@ -196,16 +183,14 @@ def simulate(p: Pfsa, n: int, seed=None, initial_state=None) -> SymbolStream:
     cum[:, -1] = 1.0
     cum_rows = cum.tolist()
     delta_rows = p.delta.tolist()
-    # u in (0, 1] so zero-probability symbols can never be drawn
+    # u in (0, 1] and the first cumulative value >= u picks the symbol, so
+    # zero-probability symbols can never be drawn
     us = 1.0 - rng.random(n)
     out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        row = cum_rows[state]
-        u = us[i]
-        sym = 0
-        while row[sym] < u:
-            sym += 1
-        out[i] = sym
+    dst = memoryview(out)
+    for i, u in enumerate(memoryview(us)):
+        sym = bisect_left(cum_rows[state], u)
+        dst[i] = sym
         state = delta_rows[state][sym]
     return SymbolStream(out, p.alphabet)
 

@@ -155,16 +155,7 @@ class CountTable:
         return tuple(reversed(out))
 
     def count(self, word) -> int:
-        length = len(word)
-        if length > self.max_len + 1:
-            raise InvalidInputError(
-                f"word of length {length} beyond table coverage {self.max_len + 1}"
-            )
-        codes, counts = self._levels[length]
-        i = int(np.searchsorted(codes, self.encode(word)))
-        if i < codes.size and codes[i] == self.encode(word):
-            return int(counts[i])
-        return 0
+        return int(self.counts_for_codes([self.encode(word)], len(word))[0])
 
     def counts_for_codes(self, codes, length):
         """Counts for an array of word codes, all of the same length."""
@@ -174,24 +165,31 @@ class CountTable:
             )
         stored, counts = self._levels[length]
         codes = np.asarray(codes, dtype=np.int64)
-        pos = np.searchsorted(stored, codes)
-        pos_clipped = np.minimum(pos, max(stored.size - 1, 0))
+        pos = np.minimum(np.searchsorted(stored, codes), max(stored.size - 1, 0))
         out = np.zeros(codes.size, dtype=np.int64)
         if stored.size:
-            hit = stored[pos_clipped] == codes
-            out[hit] = counts[pos_clipped[hit]]
+            hit = stored[pos] == codes
+            out[hit] = counts[pos[hit]]
         return out
 
-    def successor_counts(self, word) -> np.ndarray:
-        """Counts of word + sigma for each alphabet symbol sigma."""
-        length = len(word)
+    def successor_rows(self, codes, length) -> np.ndarray:
+        """Successor counts of words of one length <= max_len, given by code.
+
+        Row i of the (len(codes), k) result holds the count of word_i + sigma
+        for each symbol sigma; an empty code array gives zero rows.
+        """
         if length > self.max_len:
             raise InvalidInputError(
                 f"successors of a length-{length} word need coverage {length + 1}"
             )
         k = self.alphabet.size
-        base = self.encode(word) * k
-        return self.counts_for_codes(base + np.arange(k, dtype=np.int64), length + 1)
+        codes = np.asarray(codes, dtype=np.int64)
+        succ = codes[:, None] * k + np.arange(k, dtype=np.int64)
+        return self.counts_for_codes(succ.ravel(), length + 1).reshape(-1, k)
+
+    def successor_counts(self, word) -> np.ndarray:
+        """Counts of word + sigma for each alphabet symbol sigma."""
+        return self.successor_rows([self.encode(word)], len(word))[0]
 
     def level(self, length: int):
         """(codes, counts) arrays of all stored words of one length."""

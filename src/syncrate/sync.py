@@ -20,6 +20,7 @@ from .streams import Alphabet, CountTable
 # word lengths grow logarithmically in 1/epsilon; the cap keeps the table
 # build bounded when callers pass an extravagant tolerance
 MAX_CANDIDATE_LENGTH = 12
+_HULL_DECIMALS = 9
 
 
 def candidate_length(epsilon: float, alphabet_size: int, cap: int = MAX_CANDIDATE_LENGTH) -> int:
@@ -67,29 +68,16 @@ def collect_derivatives(table: CountTable, max_len: int, min_count: int) -> Deri
             f"count table covers words up to length {table.max_len}, "
             f"search needs {max_len}"
         )
-    k = table.alphabet.size
     entries: dict = {}
-    if table.stream_length >= min_count:
-        succ = table.successor_counts(())
-        total = int(succ.sum())
-        if total > 0:
-            entries[()] = (succ / total, table.stream_length)
-    for length in range(1, max_len + 1):
+    for length in range(max_len + 1):
         codes, counts = table.level(length)
         keep = counts >= min_count
-        kept_codes = codes[keep]
-        kept_counts = counts[keep]
-        if kept_codes.size == 0:
-            continue
-        succ_codes = kept_codes[:, None] * k + np.arange(k, dtype=np.int64)[None, :]
-        succ_counts = table.counts_for_codes(succ_codes.ravel(), length + 1)
-        succ_counts = succ_counts.reshape(-1, k)
-        totals = succ_counts.sum(axis=1)
-        for i in range(kept_codes.shape[0]):
-            if totals[i] == 0:
-                continue
-            word = table.decode(int(kept_codes[i]), length)
-            entries[word] = (succ_counts[i] / totals[i], int(kept_counts[i]))
+        kept_codes, kept_counts = codes[keep], counts[keep]
+        succ = table.successor_rows(kept_codes, length)
+        totals = succ.sum(axis=1)
+        for code, cnt, row, total in zip(kept_codes, kept_counts, succ, totals):
+            if total > 0:
+                entries[table.decode(int(code), length)] = (row / total, int(cnt))
     if not entries:
         raise InsufficientDataError(
             f"no word of length <= {max_len} occurs {min_count} times; "
@@ -114,18 +102,19 @@ def _is_vertex(points: np.ndarray, index: int) -> bool:
     return not res.success
 
 
-def hull_vertex_words(derivs: DerivativeMap, decimals: int = 9) -> list:
+def hull_vertex_words(derivs: DerivativeMap) -> list:
     """Words whose derivatives lie at vertices of the derivative cloud.
 
-    Derivatives are deduplicated to ``decimals`` places first, so a cluster of
-    words sharing one extreme point all come back.  For binary alphabets the
-    cloud lives on a segment and the vertex test reduces to min/max of the
-    first coordinate; larger alphabets get a linear program per unique point.
+    Derivatives are deduplicated to 9 decimal places (``_HULL_DECIMALS``)
+    first, so a cluster of words sharing one extreme point all come back.
+    For binary alphabets the cloud lives on a segment and the vertex test
+    reduces to min/max of the first coordinate; larger alphabets get a
+    linear program per unique point.
     """
     entries = derivs.entries
     words = list(entries)
     points = np.array([entries[w][0] for w in words])
-    keys = [tuple(np.round(p, decimals)) for p in points]
+    keys = [tuple(np.round(p, _HULL_DECIMALS)) for p in points]
     groups: dict = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)

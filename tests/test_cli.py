@@ -306,6 +306,7 @@ EDGE_STREAMS = {
     "empty": np.zeros(0, dtype=np.uint8),
     "constant": np.zeros(5_000, dtype=np.uint8),
     "one-symbol": np.ones(1, dtype=np.uint8),
+    "ternary": np.random.default_rng(0).integers(0, 3, 2_000).astype(np.uint8),
 }
 
 
@@ -322,6 +323,15 @@ class TestEdgeInputs:
             ("one-symbol", ["estimate", "--method", "lz78", "--tsv"], 0),
             ("one-symbol", ["estimate", "--tsv"], 2),
             ("one-symbol", ["benchmark", "--checkpoints", "1"], 0),
+            ("empty", ["sync"], 2),
+            ("empty", ["sync", "--tsv"], 2),
+            ("constant", ["sync"], 0),
+            ("constant", ["sync", "--tsv"], 0),
+            ("one-symbol", ["sync"], 2),
+            ("one-symbol", ["sync", "--tsv"], 2),
+            # words too long for int64 codes
+            ("ternary", ["sync", "--search-length", "40"], 1),
+            ("ternary", ["estimate", "--ext-max", "60"], 1),
         ],
     )
     def test_documented_exit_code(self, name, argv, expected, tmp_path, capsys):
@@ -329,8 +339,13 @@ class TestEdgeInputs:
         EDGE_STREAMS[name].tofile(path)
         code, out, err = run(argv + ["--input", str(path)], capsys)
         assert code == expected
+        assert "Traceback" not in err
         if code:
             assert err.startswith("syncrate: ")
+            return
+        if argv[0] == "sync":
+            summary = err if "--tsv" in argv else out
+            assert summary.startswith("sync word")
             return
         rows = [line.split("\t") for line in out.splitlines()[2:]]
         assert rows
@@ -342,6 +357,25 @@ class TestEdgeInputs:
             assert float(rows[0][1]) == 1.0  # bound capped at log2(2)
             return
         assert all(np.isfinite(h) and h >= 0.0 for h in h_lz)
+
+    @pytest.mark.parametrize(
+        "argv, labels",
+        [
+            (["sync"], "a\nb\n"),  # fewer labels than the stream's symbols
+            (["estimate"], "a\nb\na\n"),  # duplicate labels
+        ],
+    )
+    def test_bad_alphabet_map_is_one(self, argv, labels, tmp_path, capsys):
+        path = tmp_path / "ternary.raw"
+        EDGE_STREAMS["ternary"].tofile(path)
+        (tmp_path / "labels.txt").write_text(labels)
+        code, _, err = run(
+            argv + ["--input", str(path), "--alphabet-map", str(tmp_path / "labels.txt")],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("syncrate: ")
+        assert "Traceback" not in err
 
 
 def test_module_entry_point():

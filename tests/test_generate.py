@@ -14,11 +14,27 @@ from syncrate import (
     iid_stream,
     normalize_text,
 )
-from syncrate.generate import _iterate
 
 
 def labels_of(stream):
     return "".join(stream.alphabet.labels[i] for i in stream.data)
+
+
+def reference_itinerary(cfg):
+    # reference oracle: per-symbol loop with an explicit escape check
+    def step(x):
+        nxt = 1.0 - cfg.r * x * x
+        assert abs(nxt) <= 1.0, f"orbit left [-1, 1] at {nxt}"
+        return nxt
+
+    x = cfg.x0
+    for _ in range(cfg.burn_in):
+        x = step(x)
+    out = np.empty(cfg.n, dtype=np.int64)
+    for i in range(cfg.n):
+        out[i] = 1 if x >= 0.0 else 0
+        x = step(x)
+    return out
 
 
 class TestChaoticStream:
@@ -50,9 +66,17 @@ class TestChaoticStream:
         s = chaotic_stream(ChaoticMapConfig(r=2.0, n=2_000, x0=0.3))
         assert len(s) == 2_000
 
-    def test_divergence_guard(self):
-        with pytest.raises(InvalidParameterError, match="diverged"):
-            _iterate(0.9, 3.0)
+    @pytest.mark.parametrize("r", [2.0, 1.9999999999999998, 1.7499, 1.0])
+    @pytest.mark.parametrize(
+        "x0", [1.0 - 2.0**-53, -1.0 + 2.0**-53, 0.9999999, -0.9999999, 0.1]
+    )
+    def test_matches_reference_loop(self, r, x0):
+        for burn_in in (0, 100):
+            cfg = ChaoticMapConfig(r=r, n=3_000, x0=x0, burn_in=burn_in)
+            expected = reference_itinerary(cfg)
+            got = chaotic_stream(cfg).data
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected)
 
     def test_config_validation(self):
         with pytest.raises(InvalidParameterError):

@@ -41,6 +41,46 @@ def ring_machine(n=100):
     return Pfsa(BINARY, delta, pi)
 
 
+@st.composite
+def machines_with_zero_arcs(draw):
+    """Random machine; zero-probability arcs, some with undefined targets."""
+    q = draw(st.integers(1, 6))
+    k = draw(st.integers(2, 5))
+    ring = draw(st.integers(0, k - 1))
+    cells = st.lists(st.integers(0, q - 1), min_size=k, max_size=k)
+    delta = np.array(draw(st.lists(cells, min_size=q, max_size=q)))
+    rows = st.lists(st.sampled_from([0, 0, 1, 2, 7]), min_size=k, max_size=k)
+    weights = np.array(draw(st.lists(rows, min_size=q, max_size=q)), dtype=float)
+    # symbol `ring` walks every state in a cycle, so the machine is connected
+    delta[:, ring] = (np.arange(q) + 1) % q
+    weights[:, ring] = np.maximum(weights[:, ring], 1.0)
+    if draw(st.booleans()):
+        delta[weights == 0.0] = -1
+    labels = tuple("abcde"[:k])
+    return Pfsa(Alphabet(labels), delta, weights / weights.sum(axis=1, keepdims=True))
+
+
+def reference_simulate(p, n, seed, initial_state):
+    # reference oracle: linear scan of each cumulative row
+    rng = np.random.default_rng(seed)
+    if initial_state is None:
+        state = int(rng.choice(p.n_states, p=stationary_distribution(p)))
+    else:
+        state = initial_state
+    cum = np.cumsum(p.pi, axis=1)
+    cum[:, -1] = 1.0
+    us = 1.0 - rng.random(n)
+    out = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        sym = 0
+        while cum[state, sym] < us[i]:
+            sym += 1
+        assert p.pi[state, sym] > 0.0
+        out[i] = sym
+        state = int(p.delta[state, sym])
+    return out
+
+
 class TestValidation:
     def test_trivial_machine_ok(self):
         Pfsa(BINARY, [[0, 0]], [[0.5, 0.5]])
@@ -80,8 +120,8 @@ class TestExactAnalysis:
 
     def test_stationary_matches_eigensolver(self):
         rng = np.random.default_rng(11)
-        for trial in range(30):
-            q = int(rng.integers(2, 6))
+        sizes = [int(q) for q in rng.integers(2, 6, size=30)] + [80, 80, 150, 150]
+        for q in sizes:
             delta = rng.integers(0, q, size=(q, 2))
             # force a cycle through all states so the graph is connected
             delta[:, 0] = (np.arange(q) + 1) % q
@@ -211,6 +251,24 @@ class TestSimulate:
         p = ring_machine(4)
         s = simulate(p, 4, seed=0, initial_state=0)
         assert len(s) == 4
+
+    @given(
+        machines_with_zero_arcs(),
+        st.integers(0, 300),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_linear_scan_reference(self, p, n, seed, data):
+        initial = data.draw(
+            st.none() | st.integers(0, p.n_states - 1), label="initial_state"
+        )
+        s = simulate(p, n, seed=seed, initial_state=initial)
+        assert s.alphabet == p.alphabet
+        assert s.data.dtype == np.int64
+        np.testing.assert_array_equal(
+            s.data, reference_simulate(p, n, seed, initial)
+        )
 
 
 class TestTextFormat:

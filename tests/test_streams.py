@@ -160,6 +160,30 @@ class TestCountTable:
             assert np.array_equal(codes, want_codes)
             assert np.array_equal(counts, want_counts)
 
+    @given(tables_to_build(), st.data())
+    @example((2, [], 3), None)
+    @example((3, [0, 1, 2, 0, 1], 0), None)
+    @settings(max_examples=300, deadline=None)
+    def test_successor_rows_match_naive(self, case, data):
+        k, seq, max_len = case
+        s = SymbolStream(seq, Alphabet(tuple(str(i) for i in range(k))))
+        t = build_count_table(s, max_len)
+        for length in range(max_len + 1):
+            # every stored word, then a few words that may not occur
+            words = [t.decode(int(c), length) for c in t.level(length)[0]]
+            if data is not None:
+                word = st.lists(st.integers(0, k - 1), min_size=length, max_size=length)
+                words += [tuple(w) for w in data.draw(st.lists(word, max_size=4))]
+            codes = np.array([t.encode(w) for w in words], dtype=np.int64)
+            rows = t.successor_rows(codes, length)
+            assert rows.shape == (len(words), k) and rows.dtype == np.int64
+            for w, row in zip(words, rows):
+                want = [naive_count(seq, w + (sym,)) for sym in range(k)]
+                assert row.tolist() == want
+            assert t.successor_rows([], length).shape == (0, k)
+        with pytest.raises(InvalidInputError):
+            t.successor_rows([0], max_len + 1)
+
     def test_empty_stream(self):
         t = build_count_table(SymbolStream([], BINARY), max_len=2)
         assert t.count(()) == 0
