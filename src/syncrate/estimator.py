@@ -109,9 +109,9 @@ class ClusterTable:
 
     A point joins the first representative, in founding order, that lies
     within epsilon of it in every coordinate; otherwise it founds a cluster.
-    Representatives are the columns of one growing array, so each point
-    filters all of them one coordinate at a time, its heaviest coordinate
-    first, and stops as soon as no candidate is left.
+    Representatives are the columns of one growing array.  A point first
+    keeps the representatives within epsilon on its heaviest coordinate,
+    then checks every coordinate of those at once.
     """
 
     __slots__ = ("epsilon", "_columns", "counts", "total")
@@ -130,15 +130,15 @@ class ClusterTable:
     def add(self, dist: np.ndarray, multiplicity=1):
         """Add a point carrying weight ``multiplicity``."""
         n = len(self.counts)
-        hits = np.arange(n)
-        for j in np.argsort(dist)[::-1]:
-            if not hits.size:
-                break
-            hits = hits[np.abs(self._columns[j, hits] - dist[j]) <= self.epsilon]
         self.total += multiplicity
-        if hits.size:
-            self.counts[hits[0]] += multiplicity
-            return
+        if n:
+            eps = self.epsilon
+            j = np.argmax(dist)
+            near = np.flatnonzero(np.abs(self._columns[j, :n] - dist[j]) <= eps)
+            fits = (np.abs(self._columns[:, near] - dist[:, None]) <= eps).all(axis=0)
+            if fits.any():
+                self.counts[near[fits.argmax()]] += multiplicity
+                return
         if n == self._columns.shape[1]:
             # the first point sets the row count; capacity then doubles
             rows = dist.size - self._columns.shape[0]
@@ -276,7 +276,8 @@ def estimate(
 
     Every extension w of length l <= ext_max counts at its exact weight
     k^-l / (ext_max + 1); only words x0·w seen more than ``min_count`` times
-    contribute.
+    contribute.  Every count is read through ``table.rooted(x0)``, which
+    derives only the levels of the words that begin with x0.
     """
     k = stream.alphabet.size
     ext_max = cfg.resolved_extension_length(k)
@@ -286,20 +287,16 @@ def estimate(
             f"count table covers words up to length {table.max_len}, "
             f"estimation needs {needed}"
         )
-    # Codes put the first symbol in the most significant digit, so the stored
-    # words x0·w of length |x0| + l fill the code range
-    # [code(x0)·k^l, (code(x0)+1)·k^l).  Words go in canonical order, by
-    # length and then by code: heaviest first, ties lexicographic.
-    base = table.encode(sync.word)
+    # Words go in canonical order, by length and then by code: heaviest
+    # first, ties lexicographic.
+    behind = table.rooted(sync.word)
     clusters = ClusterTable(cfg.epsilon)
     for ell in range(ext_max + 1):
         length = len(sync.word) + ell
-        stored, stored_counts = table.level(length)
-        lo, hi = np.searchsorted(stored, [base * k**ell, (base + 1) * k**ell])
-        codes, counts = stored[lo:hi], stored_counts[lo:hi]
+        codes, counts = behind.level(length)
         # a word's successors never outnumber its own occurrences
         codes = codes[counts > cfg.min_count]
-        succ = table.successor_rows(codes, length)
+        succ = behind.successor_rows(codes, length)
         weight = 1.0 / ((ext_max + 1) * k**ell)
         for row, total in zip(succ, succ.sum(axis=1)):
             if total > cfg.min_count:

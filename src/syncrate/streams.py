@@ -3,6 +3,12 @@
 Words over an alphabet of size k are tuples of symbol indices.  Occurrence
 counts are overlapping: "00" occurs twice in "0001".  The empty word occurs
 once per position, so its count equals the stream length.
+
+``build_count_table`` counts every word up to a length with one sort.  It
+stores only the deepest windows as sorted int64 codes, which put the first
+symbol in the most significant digit.  Shorter words are prefixes of those
+codes, and the words that begin with a given word fill one contiguous slice
+of them, so shorter levels and per-word views are derived on demand.
 """
 
 from __future__ import annotations
@@ -121,21 +127,43 @@ def count(s: SymbolStream, word) -> int:
     return int(hits.sum())
 
 
+def _run_starts(codes) -> np.ndarray:
+    """Index of the first element of each run of equal sorted codes."""
+    first = np.empty(codes.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
 class CountTable:
     """Occurrence counts for every word of length <= max_len + 1 in a stream.
 
-    Words present in the stream are stored per length as sorted int64 codes
-    with their counts; any absent word has count zero.  Level 0 holds the
-    empty word, code 0, counted once per position.  Built once, read only.
+    Only the deepest level is stored: the sorted distinct int64 codes of the
+    windows of length top = min(max_len + 1, n), with their counts, and the
+    top - 1 windows that the stream end cuts short of that length, as codes
+    with their lengths.  Any absent word has count zero.  A shorter level L
+    is derived on its first read and kept: its words are the length-L
+    prefixes of the deepest windows plus the cut windows that reach length
+    L, truncated to it.  Level 0 holds the empty word, code 0, counted once
+    per position; levels longer than the stream are empty.
+
+    Memory: 16 bytes per distinct deepest window, plus 16 bytes per entry of
+    every level once read.  ``rooted`` restricts the table to the words that
+    begin with one word, sharing the deepest arrays.  Read only.
     """
 
-    __slots__ = ("alphabet", "stream_length", "max_len", "_levels")
+    __slots__ = (
+        "alphabet", "stream_length", "max_len", "_root_len", "_top", "_cut", "_levels"
+    )
 
-    def __init__(self, alphabet, stream_length, max_len, levels):
+    def __init__(self, alphabet, stream_length, max_len, deepest, cut, root_len=0):
         self.alphabet = alphabet
         self.stream_length = stream_length
         self.max_len = max_len
-        self._levels = levels
+        self._root_len = root_len
+        self._top = min(max_len + 1, stream_length)
+        self._cut = cut
+        self._levels = {self._top: deepest}
 
     def encode(self, word) -> int:
         k = self.alphabet.size
@@ -163,7 +191,7 @@ class CountTable:
             raise InvalidInputError(
                 f"word of length {length} beyond table coverage {self.max_len + 1}"
             )
-        stored, counts = self._levels[length]
+        stored, counts = self.level(length)
         codes = np.asarray(codes, dtype=np.int64)
         pos = np.minimum(np.searchsorted(stored, codes), max(stored.size - 1, 0))
         out = np.zeros(codes.size, dtype=np.int64)
@@ -195,7 +223,65 @@ class CountTable:
         """(codes, counts) arrays of all stored words of one length."""
         if not 0 <= length <= self.max_len + 1:
             raise InvalidInputError(f"no stored level of length {length}")
+        if length not in self._levels:
+            self._levels[length] = self._derive(length)
         return self._levels[length]
+
+    def _derive(self, length):
+        if not self._root_len <= length < self._top:
+            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        k = self.alphabet.size
+        codes, counts = self._levels[self._top]
+        # prefixes of sorted codes stay sorted, so equal prefixes form runs
+        prefix = codes // k ** (self._top - length)
+        starts = _run_starts(prefix)
+        uniq, cnt = prefix[starts], np.add.reduceat(counts, starts)
+        cut_codes, cut_lens = self._cut
+        reach = cut_lens >= length
+        extra, times = np.unique(
+            cut_codes[reach] // k ** (cut_lens[reach] - length), return_counts=True
+        )
+        pos = np.searchsorted(uniq, extra)
+        found = pos < uniq.size
+        found[found] = uniq[pos[found]] == extra[found]
+        cnt[pos[found]] += times[found]
+        new = ~found
+        return (
+            np.insert(uniq, pos[new], extra[new]),
+            np.insert(cnt, pos[new], times[new]),
+        )
+
+    def rooted(self, word) -> "CountTable":
+        """The table restricted to the words that begin with ``word``.
+
+        Those words keep their counts; every other word counts zero.  They
+        fill one contiguous slice of the sorted deepest codes, so the view
+        shares the table's arrays and derives its own levels from the slice.
+        """
+        r = len(word)
+        if r > self.max_len + 1:
+            raise InvalidInputError(
+                f"word of length {r} beyond table coverage {self.max_len + 1}"
+            )
+        base = self.encode(word)
+        k = self.alphabet.size
+        codes, counts = self._levels[self._top]
+        cut_codes, cut_lens = self._cut
+        lo = hi = 0
+        reach = cut_lens >= r
+        if r <= self._top:
+            # code(word) * k^m + code(tail) for every tail of length m
+            span = k ** (self._top - r)
+            lo, hi = np.searchsorted(codes, [base * span, (base + 1) * span])
+            reach[reach] = cut_codes[reach] // k ** (cut_lens[reach] - r) == base
+        return CountTable(
+            self.alphabet,
+            self.stream_length,
+            self.max_len,
+            (codes[lo:hi], counts[lo:hi]),
+            (cut_codes[reach], cut_lens[reach]),
+            max(self._root_len, r),
+        )
 
 
 def build_count_table(
@@ -203,12 +289,15 @@ def build_count_table(
 ) -> CountTable:
     """Count table covering every word length up to max_len + 1.
 
-    Matches the naive overlapping scan exactly.  One sort does the work:
-    the windows of the deepest stored length min(max_len + 1, n) are
-    sorted and counted once, and each shorter level is derived from the
-    one above by dropping the last symbol of every code, merging the runs
-    that share a prefix, and adding the final window, which has no
-    successor.  Level 0 holds the empty word, counted n times.
+    Matches the naive overlapping scan exactly.  One encode and one sort do
+    the work: the codes of the windows of the deepest length
+    top = min(max_len + 1, n) are built in place, sorted in place and
+    counted, and the final window's top - 1 proper suffixes are kept as the
+    windows the stream end cuts short.  Only that level is stored; shorter
+    ones are derived when read (see ``CountTable``).  The build holds one
+    8-byte code per window, then at most 32 bytes per distinct deepest
+    window while counting; the table keeps 16 bytes per distinct deepest
+    window.
 
     Refuses tables whose distinct word bound (sum over lengths of
     min(n, k**L)) exceeds ``max_entries`` or whose codes would overflow
@@ -232,35 +321,26 @@ def build_count_table(
                 f"count table would hold more than {max_entries} entries; "
                 "reduce max_len or raise max_entries explicitly"
             )
-    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    levels = [(np.zeros(1, dtype=np.int64), np.array([n], dtype=np.int64))]
-    levels += [empty] * depth
     top = min(depth, n)
     if top == 0:
-        return CountTable(s.alphabet, n, max_len, levels)
+        empty = np.empty(0, dtype=np.int64)
+        deepest = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+        return CountTable(s.alphabet, n, max_len, deepest, (empty, empty))
     data = s.data
     codes = data.astype(np.int64)
     for length in range(2, top + 1):
-        codes = codes[:-1] * k + data[length - 1 :]
-    uniq, cnt = np.unique(codes, return_counts=True)
-    levels[top] = (uniq, cnt.astype(np.int64))
-    final = int(codes[-1])
-    for length in range(top - 1, 0, -1):
-        # every window but the final one is the prefix of a window one
-        # symbol longer; prefixes of sorted codes stay sorted
-        prefix = uniq // k
-        starts = np.flatnonzero(np.diff(prefix, prepend=-1))
-        uniq = prefix[starts]
-        cnt = np.add.reduceat(cnt, starts)
-        last = final % k**length
-        i = int(np.searchsorted(uniq, last))
-        if i < uniq.size and uniq[i] == last:
-            cnt[i] += 1
-        else:
-            uniq = np.insert(uniq, i, last)
-            cnt = np.insert(cnt, i, 1)
-        levels[length] = (uniq, cnt)
-    return CountTable(s.alphabet, n, max_len, levels)
+        codes = codes[:-1]
+        codes *= k
+        codes += data[length - 1 :]
+    lens = np.arange(top - 1, 0, -1, dtype=np.int64)
+    cut = (int(codes[-1]) % k**lens, lens)
+    codes.sort()
+    starts = _run_starts(codes)
+    # free the window codes before the diff allocates its temporaries
+    uniq = codes[starts]
+    del codes
+    counts = np.diff(starts, append=n - top + 1).astype(np.int64, copy=False)
+    return CountTable(s.alphabet, n, max_len, (uniq, counts), cut)
 
 
 def symbolic_derivative(t: CountTable, word) -> np.ndarray:

@@ -4,12 +4,14 @@ Most tests drive main() in-process for speed; one subprocess test proves
 the module entry point works from a cold start.
 """
 
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import syncrate
 from syncrate import (
     EstimatorConfig,
     estimate_entropy_rate,
@@ -379,9 +381,12 @@ class TestEdgeInputs:
 
 
 def test_module_entry_point():
+    # the child imports the package from where this process found it
+    src = os.path.dirname(os.path.dirname(syncrate.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "syncrate.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("syncrate ")

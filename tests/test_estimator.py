@@ -20,6 +20,7 @@ from syncrate import (
     SymbolStream,
     bound_curve,
     build_count_table,
+    candidate_length,
     entropy,
     estimate_entropy_rate,
     find_sync_string,
@@ -29,7 +30,7 @@ from syncrate import (
     two_state_nonsynchronizable,
     two_state_synchronizable,
 )
-from syncrate.estimator import ClusterTable, estimate
+from syncrate.estimator import ClusterTable, collect_threshold, estimate
 
 
 class TestGenBinaryEntropy:
@@ -150,6 +151,29 @@ class TestClusterTable:
         t.add(np.array([0.5 + 1e-12, 0.5 - 1e-12]))
         assert len(t.representatives) == 2
         assert t.counts == [2, 1]
+
+    def test_tied_heaviest_coordinate_checks_every_coordinate(self):
+        t = ClusterTable(0.05)
+        t.add(np.array([0.4, 0.3, 0.3]))
+        t.add(np.array([0.3, 0.4, 0.3]))
+        # each founder matches one of the two heaviest coordinates exactly
+        # and misses the other by 0.1
+        t.add(np.array([0.4, 0.4, 0.2]))
+        t.add(np.array([0.31, 0.41, 0.28]), multiplicity=2)
+        assert t.counts == [1, 3, 1]
+        assert t.total == 5
+
+    def test_first_fit_skips_founder_failing_another_coordinate(self):
+        t = ClusterTable(0.15)
+        t.add(np.array([0.6, 0.1, 0.3]))
+        t.add(np.array([0.6, 0.3, 0.1]))
+        # both founders pass the heaviest coordinate; only the second passes
+        # the others
+        t.add(np.array([0.62, 0.28, 0.1]), multiplicity=4)
+        # within 0.1 of both founders: the first one takes it
+        t.add(np.array([0.6, 0.2, 0.2]))
+        assert t.counts == [2, 5]
+        assert t.total == 7
 
     @given(
         k=st.integers(min_value=2, max_value=4),
@@ -380,6 +404,13 @@ def three_symbol_machine():
     )
 
 
+def markov27_machine():
+    # symbol s leads to state s: an order-1 Markov source on 27 symbols
+    rows = np.random.default_rng(0).dirichlet([0.3] * 27, size=27)
+    delta = np.tile(np.arange(27), (27, 1))
+    return Pfsa(Alphabet(tuple(str(i) for i in range(27))), delta, rows)
+
+
 class TestEstimatePipeline:
     @pytest.mark.parametrize(
         "machine,search_length,collect_min",
@@ -400,6 +431,27 @@ class TestEstimatePipeline:
         assert report.cluster_count == clusters
         assert report.samples_used == used
         assert report.samples_discarded == 500 - used
+
+    @pytest.mark.parametrize(
+        "machine",
+        [two_state_nonsynchronizable(), three_symbol_machine(), markov27_machine()],
+        ids=["binary", "three-symbol", "27-symbol"],
+    )
+    def test_public_chain_matches_pipeline(self, machine):
+        # the pipeline rebuilt from its public steps, every table level read
+        # before the search as a caller may do, gives the same report
+        stream = simulate(machine, 60_000, seed=6)
+        cfg = EstimatorConfig(epsilon=0.05, sample_size=20_000)
+        k = stream.alphabet.size
+        search = candidate_length(cfg.epsilon, k)
+        table = build_count_table(stream, search + cfg.resolved_extension_length(k))
+        for length in range(table.max_len + 2):
+            table.level(length)
+        floor = collect_threshold(len(stream), cfg.min_count)
+        sync = find_sync_string(table, search, floor)
+        report = estimate(stream, sync, cfg, table)
+        assert report == estimate_entropy_rate(stream, cfg)
+        assert report.cluster_count > 1
 
     def test_seed_does_not_change_report(self):
         stream = simulate(two_state_nonsynchronizable(), 20_000, seed=2)

@@ -64,6 +64,20 @@ def tables_to_build(draw):
     return k, seq, max_len
 
 
+@st.composite
+def rooted_tables(draw):
+    """Table case plus a root word: a stream suffix, possibly seen nowhere
+    else, or any word; the empty word and words longer than the stream
+    included."""
+    k, seq, max_len = draw(tables_to_build())
+    r = draw(st.integers(min_value=0, max_value=max_len + 1))
+    if r <= len(seq) and draw(st.booleans()):
+        root = seq[len(seq) - r :]
+    else:
+        root = draw(st.lists(st.integers(0, k - 1), min_size=r, max_size=r))
+    return k, seq, max_len, tuple(root)
+
+
 class TestAlphabet:
     def test_too_small(self):
         with pytest.raises(InvalidInputError):
@@ -183,6 +197,53 @@ class TestCountTable:
             assert t.successor_rows([], length).shape == (0, k)
         with pytest.raises(InvalidInputError):
             t.successor_rows([0], max_len + 1)
+
+    @given(rooted_tables())
+    @example((2, [], 3, ()))
+    @example((2, [], 3, (1,)))
+    @example((2, [1], 0, ()))
+    @example((2, [1], 0, (1,)))
+    @example((3, [0, 1], 4, (0, 1)))
+    @example((3, [0, 1], 4, (0, 1, 2)))
+    @example((27, [0, 0, 0, 0, 26], 2, (0, 26)))
+    @example((27, [0, 0, 0, 0, 26], 2, (26,)))
+    @example((2, [0, 1, 1, 0, 1, 1, 0], 4, (1, 1, 0)))
+    @settings(max_examples=300, deadline=None)
+    def test_rooted_view_matches_restricted_reference(self, case):
+        k, seq, max_len, root = case
+        s = SymbolStream(seq, Alphabet(tuple(str(i) for i in range(k))))
+        t = build_count_table(s, max_len)
+        view = t.rooted(root)
+        expected = per_level_unique(s.data, k, max_len)
+        base = t.encode(root)
+        # deepest first: no level may depend on which were read before
+        for length in reversed(range(max_len + 2)):
+            codes, counts = view.level(length)
+            want_codes, want_counts = expected[length]
+            if length < len(root):
+                inside = np.zeros(want_codes.size, dtype=bool)
+            else:
+                span = k ** (length - len(root))
+                inside = (want_codes >= base * span) & (want_codes < (base + 1) * span)
+            assert codes.dtype == np.int64 and counts.dtype == np.int64
+            assert np.array_equal(codes, want_codes[inside])
+            assert np.array_equal(counts, want_counts[inside])
+        for length in range(max_len + 1):
+            # every word of the full level; successors outside the root read zero
+            words = [t.decode(int(c), length) for c in t.level(length)[0]]
+            codes = np.array([t.encode(w) for w in words], dtype=np.int64)
+            rows = view.successor_rows(codes, length)
+            assert rows.shape == (len(words), k)
+            for w, row in zip(words, rows):
+                succ = [w + (sym,) for sym in range(k)]
+                want = [naive_count(seq, x) * (x[: len(root)] == root) for x in succ]
+                assert row.tolist() == want
+
+    def test_rooted_beyond_coverage(self):
+        t = build_count_table(stream_from("010101"), max_len=2)
+        t.rooted((0, 1, 0))
+        with pytest.raises(InvalidInputError):
+            t.rooted((0, 1, 0, 1))
 
     def test_empty_stream(self):
         t = build_count_table(SymbolStream([], BINARY), max_len=2)
