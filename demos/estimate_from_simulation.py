@@ -31,7 +31,8 @@ print("sync word        %r occurring %.1f%% of the time"
       % (report.sync_word, 100 * report.sync_frequency))
 print("samples          %d used, %d discarded"
       % (report.samples_used, report.samples_discarded))
-print("clusters         %d" % report.cluster_count)
+# every word x0·w seen more than min_count times is one term of the mean
+print("words            %d" % report.cluster_count)
 
 # The bound is loose at this stream length; the point is that the actual
 # error sits far inside it.

@@ -220,7 +220,7 @@ def cmd_estimate(args) -> int:
             f"samples        {report.samples_used} used, "
             f"{report.samples_discarded} discarded"
         )
-        print(f"clusters       {report.cluster_count}")
+        print(f"words          {report.cluster_count}")
         print(f"stream         {report.stream_length} symbols")
     return 0
 

@@ -1,13 +1,13 @@
 """Entropy rate estimation with an explicit uncertainty bound.
 
-Phase II averages the symbolic derivatives of extension words w behind the
-synchronizing word x0.  An extension has a uniform length l in 0..ext_max
-and uniform symbols, so each word w carries the exact weight
-k^-l / (ext_max + 1); every stored word x0·w is enumerated once at that
-weight, its derivative is clustered, and the weighted cluster entropies form
-the rate estimate.  No random draw is involved.  Phase III inverts a
-finite-sample deviation inequality to report how far the estimate can be
-from the truth at the requested confidence level.
+Phase II averages the entropies of the symbolic derivatives of x0·w, for
+extension words w behind the synchronizing word x0.  An extension has a
+uniform length l in 0..ext_max and uniform symbols, so each word w carries
+the exact weight k^-l / (ext_max + 1).  The rate estimate is the weighted
+mean over every stored word x0·w, so it depends on no word order and
+involves no random draw.  Phase III inverts a finite-sample deviation
+inequality to report how far the estimate can be from the truth at the
+requested confidence level.
 """
 
 import math
@@ -104,55 +104,6 @@ def gen_binary_entropy(eps: float, alphabet_size: int) -> float:
     )
 
 
-class ClusterTable:
-    """Greedy first-fit clusters of distributions under the ∞-norm.
-
-    A point joins the first representative, in founding order, that lies
-    within epsilon of it in every coordinate; otherwise it founds a cluster.
-    Representatives are the columns of one growing array.  A point first
-    keeps the representatives within epsilon on its heaviest coordinate,
-    then checks every coordinate of those at once.
-    """
-
-    __slots__ = ("epsilon", "_columns", "counts", "total")
-
-    def __init__(self, epsilon: float):
-        self.epsilon = epsilon
-        self._columns = np.empty((0, 0))
-        self.counts = []
-        self.total = 0
-
-    @property
-    def representatives(self) -> np.ndarray:
-        """One row per cluster, in founding order."""
-        return self._columns[:, : len(self.counts)].T
-
-    def add(self, dist: np.ndarray, multiplicity=1):
-        """Add a point carrying weight ``multiplicity``."""
-        n = len(self.counts)
-        self.total += multiplicity
-        if n:
-            eps = self.epsilon
-            j = np.argmax(dist)
-            near = np.flatnonzero(np.abs(self._columns[j, :n] - dist[j]) <= eps)
-            fits = (np.abs(self._columns[:, near] - dist[:, None]) <= eps).all(axis=0)
-            if fits.any():
-                self.counts[near[fits.argmax()]] += multiplicity
-                return
-        if n == self._columns.shape[1]:
-            # the first point sets the row count; capacity then doubles
-            rows = dist.size - self._columns.shape[0]
-            self._columns = np.pad(self._columns, ((0, rows), (0, max(n, 16))))
-        self._columns[:, n] = dist
-        self.counts.append(multiplicity)
-
-    def mean_entropy(self) -> float:
-        acc = 0.0
-        for rep, cnt in zip(self.representatives, self.counts):
-            acc += cnt * entropy(rep)
-        return acc / self.total
-
-
 @dataclass(frozen=True)
 class EstimateReport:
     """Estimate plus everything needed to audit it.
@@ -161,7 +112,8 @@ class EstimateReport:
     N and the total weight W of the extensions whose count cleared
     ``min_count``: the expected number of useful draws among N random
     extensions.  ``samples_discarded`` is N minus that, and
-    ``cluster_count`` the number of first-fit clusters.
+    ``cluster_count`` the number of words x0·w that cleared ``min_count``,
+    each a term of the weighted mean.
     """
 
     entropy_rate: float
@@ -272,12 +224,13 @@ def estimate(
     cfg: EstimatorConfig,
     table: CountTable,
 ) -> EstimateReport:
-    """Cluster derivatives behind the synchronizing word and average them.
+    """Weighted mean of the derivative entropies behind the synchronizing word.
 
     Every extension w of length l <= ext_max counts at its exact weight
     k^-l / (ext_max + 1); only words x0·w seen more than ``min_count`` times
-    contribute.  Every count is read through ``table.rooted(x0)``, which
-    derives only the levels of the words that begin with x0.
+    contribute.  Each length is one matrix of successor rows whose entropies
+    are summed at once.  Every count is read through ``table.rooted(x0)``,
+    which derives only the levels of the words that begin with x0.
     """
     k = stream.alphabet.size
     ext_max = cfg.resolved_extension_length(k)
@@ -287,29 +240,30 @@ def estimate(
             f"count table covers words up to length {table.max_len}, "
             f"estimation needs {needed}"
         )
-    # Words go in canonical order, by length and then by code: heaviest
-    # first, ties lexicographic.
     behind = table.rooted(sync.word)
-    clusters = ClusterTable(cfg.epsilon)
+    weighted_h = mass = 0.0
+    words = 0
     for ell in range(ext_max + 1):
         length = len(sync.word) + ell
         codes, counts = behind.level(length)
         # a word's successors never outnumber its own occurrences
-        codes = codes[counts > cfg.min_count]
-        succ = behind.successor_rows(codes, length)
+        succ = behind.successor_rows(codes[counts > cfg.min_count], length)
+        totals = succ.sum(axis=1, keepdims=True)
+        keep = totals[:, 0] > cfg.min_count
+        dists = succ[keep] / totals[keep]
         weight = 1.0 / ((ext_max + 1) * k**ell)
-        for row, total in zip(succ, succ.sum(axis=1)):
-            if total > cfg.min_count:
-                clusters.add(row / total, weight)
-    if clusters.total == 0:
+        weighted_h += weight * entropy(dists).sum()
+        mass += weight * len(dists)
+        words += len(dists)
+    if words == 0:
         raise InsufficientDataError(
             f"every extension fell below {cfg.min_count} occurrences "
             f"(extension lengths up to {ext_max}); provide a longer stream or "
             "lower min_count"
         )
-    h = clusters.mean_entropy()
+    h = float(weighted_h / mass)
     n_samples = cfg.resolved_sample_size(k)
-    samples_used = max(1, round(n_samples * clusters.total))
+    samples_used = max(1, round(n_samples * mass))
     eps_star, bound, vacuous = solve_uncertainty(
         len(stream),
         k,
@@ -327,7 +281,7 @@ def estimate(
         samples_used=samples_used,
         samples_discarded=n_samples - samples_used,
         stream_length=len(stream),
-        cluster_count=len(clusters.counts),
+        cluster_count=words,
         vacuous=vacuous,
     )
 

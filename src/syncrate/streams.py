@@ -357,8 +357,15 @@ def symbolic_derivative(t: CountTable, word) -> np.ndarray:
     return succ / total
 
 
-def entropy(dist) -> float:
-    """Shannon entropy in bits.  Zero entries contribute zero."""
+def entropy(dist):
+    """Shannon entropy in bits over the last axis.  Zero entries contribute zero.
+
+    One distribution gives a float; a stack of them gives one entropy per
+    distribution.
+    """
     p = np.asarray(dist, dtype=float)
-    nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    if p.ndim <= 1:
+        # summing the nonzero terms alone fixes the order of a single sum
+        p = p[p > 0.0]
+    h = -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+    return float(h) if p.ndim == 1 else h

@@ -30,7 +30,7 @@ from syncrate import (
     two_state_nonsynchronizable,
     two_state_synchronizable,
 )
-from syncrate.estimator import ClusterTable, collect_threshold, estimate
+from syncrate.estimator import collect_threshold, estimate
 
 
 class TestGenBinaryEntropy:
@@ -125,85 +125,6 @@ class TestEstimatorConfig:
         cfg = EstimatorConfig(epsilon=0.1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.epsilon = 0.2
-
-
-class TestClusterTable:
-    def test_first_fit_absorbs_within_tolerance(self):
-        t = ClusterTable(0.1)
-        t.add(np.array([0.5, 0.5]))
-        t.add(np.array([0.59, 0.41]))
-        t.add(np.array([0.65, 0.35]), multiplicity=3)
-        assert len(t.representatives) == 2
-        assert t.counts == [2, 3]
-        assert t.total == 5
-
-    def test_entropy_evaluated_at_founders(self):
-        t = ClusterTable(0.2)
-        t.add(np.array([1.0, 0.0]), multiplicity=1)
-        t.add(np.array([0.9, 0.1]), multiplicity=9)
-        # second point joins the first cluster, so its entropy never enters
-        assert t.mean_entropy() == 0.0
-
-    def test_zero_tolerance_groups_exact_matches_only(self):
-        t = ClusterTable(0.0)
-        t.add(np.array([0.5, 0.5]))
-        t.add(np.array([0.5, 0.5]))
-        t.add(np.array([0.5 + 1e-12, 0.5 - 1e-12]))
-        assert len(t.representatives) == 2
-        assert t.counts == [2, 1]
-
-    def test_tied_heaviest_coordinate_checks_every_coordinate(self):
-        t = ClusterTable(0.05)
-        t.add(np.array([0.4, 0.3, 0.3]))
-        t.add(np.array([0.3, 0.4, 0.3]))
-        # each founder matches one of the two heaviest coordinates exactly
-        # and misses the other by 0.1
-        t.add(np.array([0.4, 0.4, 0.2]))
-        t.add(np.array([0.31, 0.41, 0.28]), multiplicity=2)
-        assert t.counts == [1, 3, 1]
-        assert t.total == 5
-
-    def test_first_fit_skips_founder_failing_another_coordinate(self):
-        t = ClusterTable(0.15)
-        t.add(np.array([0.6, 0.1, 0.3]))
-        t.add(np.array([0.6, 0.3, 0.1]))
-        # both founders pass the heaviest coordinate; only the second passes
-        # the others
-        t.add(np.array([0.62, 0.28, 0.1]), multiplicity=4)
-        # within 0.1 of both founders: the first one takes it
-        t.add(np.array([0.6, 0.2, 0.2]))
-        assert t.counts == [2, 5]
-        assert t.total == 7
-
-    @given(
-        k=st.integers(min_value=2, max_value=4),
-        epsilon=st.sampled_from([0.0, 0.125, 0.25, 0.375, 0.1, 0.3]),
-        data=st.data(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_plain_first_fit(self, k, epsilon, data):
-        # points on a 1/8 grid sit exactly epsilon apart from each other
-        # for every grid tolerance; float points cover the general case
-        grid = st.lists(
-            st.integers(min_value=0, max_value=8), min_size=k - 1, max_size=k - 1
-        ).map(lambda cuts: np.diff([0] + sorted(cuts) + [8]) / 8)
-        floats = st.lists(
-            st.floats(min_value=0.01, max_value=1.0), min_size=k, max_size=k
-        ).map(lambda xs: np.array(xs) / sum(xs))
-        points = data.draw(st.lists(st.one_of(grid, floats), max_size=60))
-        weights = data.draw(
-            st.lists(
-                st.floats(min_value=1e-6, max_value=1.0),
-                min_size=len(points),
-                max_size=len(points),
-            )
-        )
-        t = ClusterTable(epsilon)
-        for dist, w in zip(points, weights):
-            t.add(dist, w)
-        reps, counts = plain_first_fit(points, weights, epsilon)
-        assert t.counts == counts
-        assert [list(r) for r in t.representatives] == [list(r) for r in reps]
 
 
 class TestSolveUncertainty:
@@ -360,40 +281,26 @@ class TestBoundCurve:
             bound_curve(2, 0.95, 10, None, [0, 50])
 
 
-def plain_first_fit(points, weights, epsilon):
-    """Reference clustering: test each point against every representative."""
-    reps, counts = [], []
-    for dist, w in zip(points, weights):
-        for i, rep in enumerate(reps):
-            if np.abs(dist - rep).max() <= epsilon:
-                counts[i] += w
-                break
-        else:
-            reps.append(dist)
-            counts.append(w)
-    return reps, counts
-
-
 def reference_estimate(sync, cfg, table):
     """Exact-weight Phase II by brute force over every pool word.
 
-    Returns (h, cluster count, samples_used).
+    Returns (h, contributing word count, samples_used).
     """
     k = table.alphabet.size
     ext_max = cfg.resolved_extension_length(k)
-    points, weights = [], []
+    weighted_h = mass = 0.0
+    words = 0
     for ell in range(ext_max + 1):
         for word in itertools.product(range(k), repeat=ell):
             succ = table.successor_counts(sync.word + word)
             total = int(succ.sum())
             if total > cfg.min_count:
-                points.append(succ / total)
-                weights.append(1.0 / ((ext_max + 1) * k**ell))
-    reps, counts = plain_first_fit(points, weights, cfg.epsilon)
-    mass = sum(weights)
-    h = sum(c * entropy(r) for r, c in zip(reps, counts)) / mass
+                w = 1.0 / ((ext_max + 1) * k**ell)
+                weighted_h += w * entropy(succ / total)
+                mass += w
+                words += 1
     used = max(1, round(cfg.resolved_sample_size(k) * mass))
-    return h, len(reps), used
+    return weighted_h / mass, words, used
 
 
 def three_symbol_machine():
@@ -424,13 +331,33 @@ class TestEstimatePipeline:
         )
         table = build_count_table(stream, search_length + 3)
         sync = find_sync_string(table, search_length, collect_min)
-        h, clusters, used = reference_estimate(sync, cfg, table)
+        h, words, used = reference_estimate(sync, cfg, table)
         report = estimate(stream, sync, cfg, table)
-        assert clusters > 1
-        assert report.entropy_rate == h
-        assert report.cluster_count == clusters
+        assert words > 1
+        # the sums run in another order
+        assert report.entropy_rate == pytest.approx(h, rel=1e-12)
+        assert report.cluster_count == words
         assert report.samples_used == used
         assert report.samples_discarded == 500 - used
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_symbol_relabelling_leaves_rate_unchanged(self, seed):
+        stream = simulate(three_symbol_machine(), 20_000, seed=seed)
+        cfg = EstimatorConfig(
+            epsilon=0.05, sample_size=500, max_extension_length=3, min_count=5
+        )
+        base = estimate_entropy_rate(
+            stream, cfg, collect_min_count=500, search_length=2
+        )
+        for perm in itertools.permutations(range(3)):
+            if perm == (0, 1, 2):
+                continue
+            relabelled = SymbolStream(np.array(perm)[stream.data], stream.alphabet)
+            report = estimate_entropy_rate(
+                relabelled, cfg, collect_min_count=500, search_length=2
+            )
+            assert report.sync_word == tuple(perm[s] for s in base.sync_word)
+            assert report.entropy_rate == pytest.approx(base.entropy_rate, rel=1e-12)
 
     @pytest.mark.parametrize(
         "machine",

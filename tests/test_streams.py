@@ -339,3 +339,25 @@ class TestEntropy:
         p = np.random.default_rng(seed).dirichlet(np.ones(k))
         h = entropy(p)
         assert -1e-12 <= h <= np.log2(k) + 1e-12
+
+    @given(st.integers(2, 27), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80)
+    def test_one_distribution_keeps_its_bits(self, k, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(k))
+        p[rng.random(k) < 0.3] = 0.0
+        nz = p[p > 0.0]
+        h = entropy(p)
+        assert type(h) is float
+        assert h == float(-(nz * np.log2(nz)).sum())
+
+    @given(st.integers(2, 27), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80)
+    def test_stack_reduces_over_last_axis(self, k, rows, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(k), size=(2, rows))
+        p[rng.random(p.shape) < 0.3] = 0.0
+        h = entropy(p)
+        assert h.shape == (2, rows)
+        for got, dist in zip(h.ravel(), p.reshape(-1, k)):
+            assert got == pytest.approx(entropy(dist), rel=1e-12, abs=1e-15)
