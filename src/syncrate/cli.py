@@ -118,7 +118,7 @@ def _load_stream(args) -> tuple[SymbolStream, str]:
     if getattr(args, "text", False):
         with open(path, "rb") as fh:
             return normalize_text(fh.read()), digest
-    raw = np.fromfile(path, dtype=np.uint8).astype(np.int64)
+    raw = np.fromfile(path, dtype=np.uint8)
     if args.alphabet_map:
         alphabet = _read_alphabet_map(args.alphabet_map)
     else:

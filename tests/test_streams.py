@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -48,6 +50,29 @@ def per_level_unique(data, k, max_len):
         uniq, cnt = np.unique(codes, return_counts=True)
         levels.append((uniq, cnt.astype(np.int64)))
     return levels
+
+
+# long enough that the shallow levels have far fewer possible prefixes than
+# there are deepest codes, so CountTable derives them by boundary search
+LONG_BINARY = np.random.default_rng(0).integers(0, 2, size=400).tolist()
+
+# the largest code k**top - 1 on each side of the 8-, 16- and 32-bit window
+# widths: k = 2 at top 8, 9, 16, 17, 32, 33 and k = 256 at top 1, 2, 4, 5,
+# each stream holding that largest code
+DTYPE_EDGES = [(2, [1] * top + [0, 1], top - 1) for top in (8, 9, 16, 17, 32, 33)] + [
+    (256, [255] * top + [0, 1], top - 1) for top in (1, 2, 4, 5)
+]
+
+
+def with_examples(*cases):
+    """Decorator adding one hypothesis example per case."""
+
+    def wrap(test):
+        for case in reversed(cases):
+            test = example(*case)(test)
+        return test
+
+    return wrap
 
 
 @st.composite
@@ -161,6 +186,10 @@ class TestCountTable:
     @example((2, [1], 0))
     @example((3, [0, 1], 4))
     @example((27, [0, 0, 0, 0, 26], 2))
+    # symbols 0 and 2 only: levels 0-1 by boundary search, level 1 over a
+    # prefix range with no word of prefix 1; levels 2-7 by the full pass
+    @example((3, [2 * x for x in LONG_BINARY], 7))
+    @with_examples(*[(case,) for case in DTYPE_EDGES])
     @settings(max_examples=300, deadline=None)
     def test_levels_match_per_level_unique(self, case):
         k, seq, max_len = case
@@ -177,6 +206,7 @@ class TestCountTable:
     @given(tables_to_build(), st.data())
     @example((2, [], 3), None)
     @example((3, [0, 1, 2, 0, 1], 0), None)
+    @with_examples(*[(case, None) for case in DTYPE_EDGES])
     @settings(max_examples=300, deadline=None)
     def test_successor_rows_match_naive(self, case, data):
         k, seq, max_len = case
@@ -208,6 +238,10 @@ class TestCountTable:
     @example((27, [0, 0, 0, 0, 26], 2, (0, 26)))
     @example((27, [0, 0, 0, 0, 26], 2, (26,)))
     @example((2, [0, 1, 1, 0, 1, 1, 0], 4, (1, 1, 0)))
+    # a view of about 64 deepest codes: level 1 by boundary search, 2-6 by
+    # the full pass; then an empty view read below the table's top
+    @example((2, LONG_BINARY, 6, (1,)))
+    @example((2, [0] * 10, 3, (1,)))
     @settings(max_examples=300, deadline=None)
     def test_rooted_view_matches_restricted_reference(self, case):
         k, seq, max_len, root = case
@@ -238,6 +272,19 @@ class TestCountTable:
                 succ = [w + (sym,) for sym in range(k)]
                 want = [naive_count(seq, x) * (x[: len(root)] == root) for x in succ]
                 assert row.tolist() == want
+
+    def test_build_peak_memory(self):
+        # 2**11 window codes fit 16 bits: two bytes of codes and two of the
+        # cast stream per symbol, then one byte of run mask
+        n = 2_000_000
+        s = SymbolStream(np.random.default_rng(0).integers(0, 2, size=n), BINARY)
+        tracemalloc.start()
+        try:
+            build_count_table(s, max_len=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 6
 
     def test_rooted_beyond_coverage(self):
         t = build_count_table(stream_from("010101"), max_len=2)
