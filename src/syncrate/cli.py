@@ -119,6 +119,7 @@ def _load_stream(args) -> tuple[SymbolStream, str]:
         with open(path, "rb") as fh:
             return normalize_text(fh.read()), digest
     raw = np.fromfile(path, dtype=np.uint8)
+    raw.setflags(write=False)  # handed to the stream as is, not copied
     if args.alphabet_map:
         alphabet = _read_alphabet_map(args.alphabet_map)
     else:
@@ -358,7 +359,7 @@ def cmd_generate(args) -> int:
         except FileNotFoundError:
             raise InvalidInputError(f"input file not found: {args.input}")
         stream = normalize_text(raw)
-    stream.data.astype(np.uint8).tofile(args.out)
+    stream.data.tofile(args.out)
     with open(args.out + ".alphabet", "w", encoding="utf-8") as fh:
         fh.write("\n".join(stream.alphabet.labels) + "\n")
     print(f"wrote {len(stream)} symbols to {args.out}", file=sys.stderr)

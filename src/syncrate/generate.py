@@ -68,11 +68,12 @@ def chaotic_stream(cfg: ChaoticMapConfig) -> SymbolStream:
     x = cfg.x0
     for _ in range(cfg.burn_in):
         x = 1.0 - r * x * x
-    out = np.empty(cfg.n, dtype=np.int64)
+    out = np.empty(cfg.n, dtype=np.uint8)
     dst = memoryview(out)
     for i in range(cfg.n):
         dst[i] = x >= 0.0
         x = 1.0 - r * x * x
+    out.setflags(write=False)
     return SymbolStream(out, BINARY)
 
 
@@ -107,5 +108,4 @@ def normalize_text(raw) -> SymbolStream:
         text = str(raw)
     folded = re.sub(r"[^a-z]+", " ", text.lower()).strip()
     codes = np.frombuffer(folded.encode("ascii", errors="replace"), dtype=np.uint8)
-    indices = np.where(codes == ord(" "), 26, codes - ord("a")).astype(np.int64)
-    return SymbolStream(indices, TEXT27)
+    return SymbolStream(np.where(codes == ord(" "), 26, codes - ord("a")), TEXT27)

@@ -81,7 +81,7 @@ def _parse(data: np.ndarray) -> tuple[np.ndarray, list[int]]:
     ``parents[i-1]`` (0 for the empty phrase) by its last symbol.  Symbols
     past ``ends[-1]`` form the unfinished tail.
     """
-    s = data.astype(np.uint8).tobytes()
+    s = data.tobytes()
     n = len(s)
     index = {b"": 0}
     lookup = index.get

@@ -185,13 +185,15 @@ def simulate(p: Pfsa, n: int, seed=None, initial_state=None) -> SymbolStream:
     delta_rows = p.delta.tolist()
     # u in (0, 1] and the first cumulative value >= u picks the symbol, so
     # zero-probability symbols can never be drawn
-    us = 1.0 - rng.random(n)
-    out = np.empty(n, dtype=np.int64)
+    us = rng.random(n)
+    np.subtract(1.0, us, out=us)
+    out = np.empty(n, dtype=np.uint8)
     dst = memoryview(out)
     for i, u in enumerate(memoryview(us)):
         sym = bisect_left(cum_rows[state], u)
         dst[i] = sym
         state = delta_rows[state][sym]
+    out.setflags(write=False)
     return SymbolStream(out, p.alphabet)
 
 

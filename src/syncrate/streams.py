@@ -4,10 +4,10 @@ Words over an alphabet of size k are tuples of symbol indices.  Occurrence
 counts are overlapping: "00" occurs twice in "0001".  The empty word occurs
 once per position, so its count equals the stream length.
 
-``build_count_table`` counts every word up to a length with one sort.  The
-build holds one 1-, 2-, 4- or 8-byte code per window, the narrowest width
-that k and the deepest length allow.  It stores only the deepest windows as
-sorted distinct int64 codes with their counts, 16 bytes per distinct window.
+A stream holds one byte per symbol.  ``build_count_table`` counts every word
+up to a length with one sort of window codes encoded from the stream in the
+narrowest of 1, 2, 4 or 8 bytes that fits, and keeps only the deepest windows
+as sorted distinct int64 codes with counts, 16 bytes per distinct window.
 Codes put the first symbol in the most significant digit.  Shorter words are
 prefixes of those codes, and the words that begin with a given word fill one
 contiguous slice of them, so shorter levels and per-word views are derived
@@ -28,9 +28,8 @@ from .errors import (
 
 # Words are packed into codes, digit i weighted by k**(L-1-i).  The build
 # encodes and sorts windows in the narrowest of these dtypes that holds
-# k**top - 1; the table stores int64.  Wide codes stay int64, the stream's
-# own dtype, not uint64: the stream needs no cast, and every Horner pass is a
-# same-type add.  k**L must stay inside the int64 range.
+# k**top - 1; the table stores int64.  Wide codes are int64, the table's
+# dtype, not uint64, so k**L must stay inside the int64 range.
 _CODE_BITS = 62
 _WINDOW_DTYPES = (np.uint8, np.uint16, np.uint32, np.int64)
 
@@ -85,17 +84,25 @@ BINARY = Alphabet(("0", "1"))
 
 
 class SymbolStream:
-    """Immutable run of symbol indices over a fixed alphabet."""
+    """Immutable run of symbol indices over a fixed alphabet, one byte each.
+
+    ``data`` is read-only uint8.  Integer and bool input is range-checked
+    before that cast, so nothing wraps; other input goes through int64
+    first.  A read-only uint8 array that owns its memory is kept, not copied.
+    """
 
     __slots__ = ("alphabet", "data")
 
     def __init__(self, data, alphabet: Alphabet):
-        arr = np.array(data, dtype=np.int64, copy=True)
+        arr = np.asarray(data)
+        arr = arr if arr.dtype.kind in "biu" else arr.astype(np.int64)
         if arr.ndim != 1:
             raise InvalidInputError("stream data must be one-dimensional")
         if arr.size and (arr.min() < 0 or arr.max() >= alphabet.size):
             raise InvalidInputError("symbol index outside alphabet range")
-        arr.setflags(write=False)
+        if arr.dtype != np.uint8 or arr.flags.writeable or arr.base is not None:
+            arr = arr.astype(np.uint8)
+            arr.setflags(write=False)
         self.data = arr
         self.alphabet = alphabet
 
@@ -321,9 +328,9 @@ def build_count_table(
     windows the stream end cuts short.  Only that level is stored; shorter
     ones are derived when read (see ``CountTable``).  The build holds one
     1-, 2-, 4- or 8-byte code per window, the narrowest that holds
-    k**top - 1, plus the stream cast to that width, then at most 32 bytes
-    per distinct deepest window while counting; the table keeps 16 bytes
-    per distinct deepest window.
+    k**top - 1, encoded from the one-byte stream without a cast copy of it,
+    then at most 32 bytes per distinct deepest window while counting; the
+    table keeps 16 bytes per distinct deepest window.
 
     Refuses tables whose distinct word bound (sum over lengths of
     min(n, k**L)) exceeds ``max_entries`` or whose codes would overflow
@@ -353,19 +360,18 @@ def build_count_table(
         deepest = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
         return CountTable(s.alphabet, n, max_len, deepest, (empty, empty))
     dtype = next(t for t in _WINDOW_DTYPES if k**top - 1 <= np.iinfo(t).max)
-    data = s.data.astype(dtype, copy=False)
-    codes = data.copy()
+    codes = s.data.astype(dtype)
     for length in range(2, top + 1):
         codes = codes[:-1]
         codes *= k
-        codes += data[length - 1 :]
+        codes += s.data[length - 1 :]
     lens = np.arange(top - 1, 0, -1, dtype=np.int64)
     cut = (int(codes[-1]) % k**lens, lens)
     codes.sort()
     starts = _run_starts(codes)
     # free the window codes before the diff allocates its temporaries
     uniq = codes[starts].astype(np.int64, copy=False)
-    del codes, data
+    del codes
     counts = np.diff(starts, append=n - top + 1).astype(np.int64, copy=False)
     return CountTable(s.alphabet, n, max_len, (uniq, counts), cut)
 

@@ -4,9 +4,11 @@ Most tests drive main() in-process for speed; one subprocess test proves
 the module entry point works from a cold start.
 """
 
+import argparse
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from syncrate import (
     estimate_entropy_rate,
     lz78_entropy_estimate,
 )
-from syncrate.cli import main
+from syncrate.cli import _load_stream, main
 from syncrate.pfsa import (
     analytical_entropy_rate,
     format_pfsa,
@@ -309,6 +311,7 @@ EDGE_STREAMS = {
     "constant": np.zeros(5_000, dtype=np.uint8),
     "one-symbol": np.ones(1, dtype=np.uint8),
     "ternary": np.random.default_rng(0).integers(0, 3, 2_000).astype(np.uint8),
+    "octal": np.random.default_rng(0).integers(0, 8, 20_000).astype(np.uint8),
 }
 
 
@@ -334,6 +337,8 @@ class TestEdgeInputs:
             # words too long for int64 codes
             ("ternary", ["sync", "--search-length", "40"], 1),
             ("ternary", ["estimate", "--ext-max", "60"], 1),
+            # 684 distinct derivatives, more than the hull test takes
+            ("octal", ["sync", "--search-length", "4", "--collect-min", "10"], 1),
         ],
     )
     def test_documented_exit_code(self, name, argv, expected, tmp_path, capsys):
@@ -378,6 +383,20 @@ class TestEdgeInputs:
         assert code == 1
         assert err.startswith("syncrate: ")
         assert "Traceback" not in err
+
+
+def test_load_stream_holds_one_byte_per_symbol(tmp_path):
+    n = 2_000_000
+    path = tmp_path / "big.raw"
+    np.random.default_rng(0).integers(0, 2, n).astype(np.uint8).tofile(path)
+    args = argparse.Namespace(input=str(path), alphabet_map=None, text=False)
+    tracemalloc.start()
+    try:
+        stream, _digest = _load_stream(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(stream) == n and peak / n < 2
 
 
 def test_module_entry_point():

@@ -1,5 +1,7 @@
 """Stream generators: chaotic itineraries, i.i.d. draws, text folding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,7 +77,7 @@ class TestChaoticStream:
             cfg = ChaoticMapConfig(r=r, n=3_000, x0=x0, burn_in=burn_in)
             expected = reference_itinerary(cfg)
             got = chaotic_stream(cfg).data
-            assert got.dtype == np.int64
+            assert got.dtype == np.uint8
             assert np.array_equal(got, expected)
 
     def test_config_validation(self):
@@ -89,6 +91,16 @@ class TestChaoticStream:
             ChaoticMapConfig(r=1.5, n=0)
         with pytest.raises(InvalidParameterError):
             ChaoticMapConfig(r=1.5, n=10, burn_in=-1)
+
+    def test_peak_memory_one_byte_per_symbol(self):
+        n = 2_000_000
+        tracemalloc.start()
+        try:
+            s = chaotic_stream(ChaoticMapConfig(r=1.7499, n=n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(s) == n and peak / n < 2
 
 
 class TestIidStream:

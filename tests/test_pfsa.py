@@ -265,7 +265,7 @@ class TestSimulate:
         )
         s = simulate(p, n, seed=seed, initial_state=initial)
         assert s.alphabet == p.alphabet
-        assert s.data.dtype == np.int64
+        assert s.data.dtype == np.uint8
         np.testing.assert_array_equal(
             s.data, reference_simulate(p, n, seed, initial)
         )

@@ -136,6 +136,55 @@ class TestSymbolStream:
         s = stream_from("0001")
         assert list(s.prefix(2).data) == [0, 0]
 
+    @pytest.mark.parametrize("k", [3, 256])
+    def test_wide_values_rejected_before_narrowing(self, k):
+        # 256 and 2**32 + 1 would wrap to the valid symbols 0 and 1 in a byte
+        alphabet = Alphabet(tuple(str(i) for i in range(k)))
+        for bad in (-1, k, 256, 2**32 + 1):
+            with pytest.raises(InvalidInputError):
+                SymbolStream(np.array([0, bad], dtype=np.int64), alphabet)
+
+    @pytest.mark.parametrize(
+        "data",
+        [[True, False, True], np.array([True, False, True]), [1, 0, 1], [1.0, 0.0, 1.5]],
+    )
+    def test_bool_and_list_inputs_keep_their_symbols(self, data):
+        assert SymbolStream(data, BINARY).data.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize(
+        "data", [[0, 1, 1], np.array([0, 1, 1]), np.array([0, 1, 1], dtype=np.uint8)]
+    )
+    def test_data_is_a_read_only_byte_copy(self, data):
+        s = SymbolStream(data, BINARY)
+        assert s.data.dtype == np.uint8 and not s.data.flags.writeable
+        if isinstance(data, np.ndarray):
+            data[0] = 1
+        assert s.data.tolist() == [0, 1, 1]
+
+    def test_read_only_owned_bytes_are_kept(self):
+        raw = np.array([0, 1, 1], dtype=np.uint8)
+        raw.setflags(write=False)
+        assert SymbolStream(raw, BINARY).data is raw
+        # a read-only view of writable memory is copied
+        base = np.array([0, 1, 1], dtype=np.uint8)
+        view = base[:]
+        view.setflags(write=False)
+        s = SymbolStream(view, BINARY)
+        base[0] = 1
+        assert s.data.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    def test_peak_memory_one_byte_per_symbol(self, dtype):
+        n = 2_000_000
+        data = np.random.default_rng(0).integers(0, 2, size=n).astype(dtype)
+        tracemalloc.start()
+        try:
+            SymbolStream(data, BINARY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 2
+
 
 class TestCount:
     def test_worked_example(self):
@@ -274,8 +323,8 @@ class TestCountTable:
                 assert row.tolist() == want
 
     def test_build_peak_memory(self):
-        # 2**11 window codes fit 16 bits: two bytes of codes and two of the
-        # cast stream per symbol, then one byte of run mask
+        # 2**11 window codes fit 16 bits: two bytes of codes per symbol, read
+        # straight from the one-byte stream, then one byte of run mask
         n = 2_000_000
         s = SymbolStream(np.random.default_rng(0).integers(0, 2, size=n), BINARY)
         tracemalloc.start()
@@ -284,7 +333,7 @@ class TestCountTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / n < 6
+        assert peak / n < 4
 
     def test_rooted_beyond_coverage(self):
         t = build_count_table(stream_from("010101"), max_len=2)

@@ -7,6 +7,7 @@ from syncrate import (
     InsufficientDataError,
     InvalidInputError,
     InvalidParameterError,
+    ResourceLimitError,
     SymbolStream,
     build_count_table,
     evolve,
@@ -16,6 +17,7 @@ from syncrate import (
     two_state_synchronizable,
 )
 from syncrate.sync import (
+    MAX_HULL_POINTS,
     DerivativeMap,
     candidate_length,
     collect_derivatives,
@@ -146,6 +148,16 @@ class TestHullVertexWords:
             ],
         )
         assert set(hull_vertex_words(derivs)) == {(0,), (1,), (2,)}
+
+    def test_point_cap_refuses_before_solving(self):
+        # distinct points on one line of the simplex; no linear program runs
+        items = []
+        for i in range(MAX_HULL_POINTS + 1):
+            word = tuple(int(c) for c in np.base_repr(i, 3).zfill(6))
+            p = i / (2 * MAX_HULL_POINTS)
+            items.append((word, (p, 0.5 - p, 0.5), 5))
+        with pytest.raises(ResourceLimitError):
+            hull_vertex_words(make_map(ABC, 100, items))
 
     def test_vertices_subset_of_keys(self):
         s = simulate(two_state_synchronizable(), 20_000, seed=5)
