@@ -24,7 +24,6 @@ from .streams import (
     CountTable,
     SymbolStream,
     build_count_table,
-    count,
     entropy,
     symbolic_derivative,
 )
@@ -53,7 +52,6 @@ from .generate import (
     normalize_text,
 )
 from .lz78 import (
-    LzParse,
     lz78_curve,
     lz78_entropy_estimate,
     parse_lz78,

@@ -120,27 +120,6 @@ class SymbolStream:
         return f"SymbolStream(len={len(self)}, k={self.alphabet.size})"
 
 
-def count(s: SymbolStream, word) -> int:
-    """Overlapping occurrences of ``word`` in ``s``.
-
-    count(s, ()) == len(s): the empty word occurs once per position.
-    """
-    n = len(s)
-    m = len(word)
-    if m == 0:
-        return n
-    w = np.asarray(word, dtype=np.int64)
-    if w.min() < 0 or w.max() >= s.alphabet.size:
-        raise InvalidInputError("word contains a symbol outside the alphabet")
-    if m > n:
-        return 0
-    data = s.data
-    hits = np.ones(n - m + 1, dtype=bool)
-    for j in range(m):
-        hits &= data[j : j + n - m + 1] == w[j]
-    return int(hits.sum())
-
-
 def _run_starts(codes) -> np.ndarray:
     """Index of the first element of each run of equal sorted codes."""
     first = np.empty(codes.size, dtype=bool)

@@ -23,6 +23,7 @@ from .streams import Alphabet, CountTable
 MAX_CANDIDATE_LENGTH = 12
 _HULL_DECIMALS = 9
 MAX_HULL_POINTS = 256
+MAX_HULL_PRODUCT = 256 * 27  # distinct points times alphabet size
 
 
 def candidate_length(epsilon: float, alphabet_size: int, cap: int = MAX_CANDIDATE_LENGTH) -> int:
@@ -112,9 +113,13 @@ def hull_vertex_words(derivs: DerivativeMap) -> list:
     For binary alphabets the cloud lives on a segment and the vertex test
     reduces to min/max of the first coordinate; larger alphabets get a
     linear program per unique point.  More than ``MAX_HULL_POINTS`` (256)
-    raise ResourceLimitError: on 2 vCPUs 256 points took 1.4 s over 8
-    symbols and 2.6 s over 27, 512 points 4.3 s and 8.9 s.
+    points, or points times alphabet size above ``MAX_HULL_PRODUCT``
+    (6,912), raise ResourceLimitError before any program is solved.  On
+    2 vCPUs 256 points took 1.4 s over 8 symbols and 2.6-3.1 s over 27,
+    512 points 4.3 s and 8.9 s; over 256 symbols the 27 points the
+    product allows took 0.3 s, 64 points 1.8 s and 257 points 28 s.
     """
+    k = derivs.alphabet.size
     entries = derivs.entries
     words = list(entries)
     points = np.array([entries[w][0] for w in words])
@@ -125,14 +130,15 @@ def hull_vertex_words(derivs: DerivativeMap) -> list:
     uniq = list(groups)
     if len(uniq) == 1:
         vertex_keys = uniq
-    elif derivs.alphabet.size == 2:
+    elif k == 2:
         firsts = [key[0] for key in uniq]
         lo, hi = min(firsts), max(firsts)
         vertex_keys = [key for key in uniq if key[0] == lo or key[0] == hi]
-    elif len(uniq) > MAX_HULL_POINTS:
+    elif len(uniq) > MAX_HULL_POINTS or len(uniq) * k > MAX_HULL_PRODUCT:
         raise ResourceLimitError(
-            f"hull test over {len(uniq)} distinct derivatives exceeds "
-            f"{MAX_HULL_POINTS}; shorten the search or raise the count floor"
+            f"hull test over {len(uniq)} distinct derivatives of {k} symbols "
+            f"exceeds {MAX_HULL_POINTS} points or {MAX_HULL_PRODUCT} points "
+            "times symbols; shorten the search or raise the count floor"
         )
     else:
         pts = np.array(uniq)

@@ -14,6 +14,7 @@ from syncrate import (
     lz78_entropy_estimate,
     parse_lz78,
 )
+from syncrate.lz78 import _parse
 
 ABC = Alphabet(("a", "b", "c"))
 ALPHABETS = {k: Alphabet(tuple(str(i) for i in range(k))) for k in (2, 3, 27)}
@@ -89,8 +90,7 @@ class TestParse:
     def test_textbook_example(self):
         # 1011010100010 parses as 1,0,11,01,010,00,10
         s = stream_of([1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 0, 1, 0])
-        parse = parse_lz78(s)
-        assert parse.phrases() == [
+        assert parse_lz78(s) == [
             (1,),
             (0,),
             (1, 1),
@@ -99,24 +99,17 @@ class TestParse:
             (0, 0),
             (1, 0),
         ]
-        assert parse.tail == ()
-        assert parse.phrase_count == 7
 
     def test_partial_tail_repeats_a_phrase(self):
-        s = stream_of([0, 0, 0, 0, 0])
-        parse = parse_lz78(s)
         # 0 | 00 | 00 with the final two symbols left unfinished
-        assert parse.phrases() == [(0,), (0, 0), (0, 0)]
-        assert parse.tail == (0, 0)
-        assert parse.phrase_count == 3
+        assert parse_lz78(stream_of([0, 0, 0, 0, 0])) == [(0,), (0, 0), (0, 0)]
 
     def test_complete_phrases_are_distinct_and_prefix_closed(self):
         rng = np.random.default_rng(7)
         s = SymbolStream(rng.integers(0, 3, size=5000), ABC)
-        parse = parse_lz78(s)
-        complete = parse.phrases()
-        if parse.tail:
-            complete = complete[:-1]
+        phrases = parse_lz78(s)
+        # a complete phrase is new by definition; only the tail repeats one
+        complete = phrases[:-1] if phrases[-1] in phrases[:-1] else phrases
         assert len(set(complete)) == len(complete)
         seen = set(complete)
         for word in complete:
@@ -124,11 +117,7 @@ class TestParse:
                 assert word[:cut] in seen
 
     def test_empty_stream(self):
-        parse = parse_lz78(stream_of([]))
-        assert parse.pairs == ()
-        assert parse.tail == ()
-        assert parse.phrase_count == 0
-        assert parse.reconstruct() == ()
+        assert parse_lz78(stream_of([])) == []
 
     @given(streams_with_marks())
     @example((2, [0] * 6, [1, 2, 3, 6]))
@@ -138,28 +127,30 @@ class TestParse:
     def test_matches_per_symbol_reference(self, case):
         k, symbols, marks = case
         s = SymbolStream(symbols, ALPHABETS[k])
-        pairs, tail, _ends, _counts = reference_parse(symbols)
-        parse = parse_lz78(s)
-        assert parse.pairs == tuple(pairs)
-        assert parse.tail == tail
-        assert parse.input_length == len(symbols)
+        pairs, tail, ends, _counts = reference_parse(symbols)
+        words = [()]
+        for parent, sym in pairs:
+            words.append(words[parent] + (sym,))
+        assert parse_lz78(s) == words[1:] + ([tail] if tail else [])
+        # a tail miscounted as a phrase ending past the stream would leave
+        # the phrases and the curve unchanged; only the offsets show it
+        assert _parse(s.data).tolist() == ends
         assert lz78_curve(s, marks) == reference_curve(symbols, marks)
 
-    @given(
-        st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=200)
-    )
+    @given(streams_with_marks())
     @settings(max_examples=200, deadline=None)
-    def test_round_trip(self, bits):
-        s = stream_of(bits)
-        assert parse_lz78(s).reconstruct() == tuple(bits)
+    def test_round_trip(self, case):
+        k, symbols, _marks = case
+        s = SymbolStream(symbols, ALPHABETS[k])
+        flat = [sym for phrase in parse_lz78(s) for sym in phrase]
+        assert flat == symbols
 
     @given(
         st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=120)
     )
     @settings(max_examples=150, deadline=None)
     def test_phrase_count_bounds(self, syms):
-        parse = parse_lz78(SymbolStream(syms, ABC))
-        assert 1 <= parse.phrase_count <= len(syms)
+        assert 1 <= len(parse_lz78(SymbolStream(syms, ABC))) <= len(syms)
 
 
 class TestEstimate:

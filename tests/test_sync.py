@@ -18,6 +18,7 @@ from syncrate import (
 )
 from syncrate.sync import (
     MAX_HULL_POINTS,
+    MAX_HULL_PRODUCT,
     DerivativeMap,
     candidate_length,
     collect_derivatives,
@@ -158,6 +159,19 @@ class TestHullVertexWords:
             items.append((word, (p, 0.5 - p, 0.5), 5))
         with pytest.raises(ResourceLimitError):
             hull_vertex_words(make_map(ABC, 100, items))
+
+    def test_point_times_symbol_cap_refuses_before_solving(self):
+        # 40 distinct points are far below the point cap, but over 256
+        # symbols each linear program is wide; none runs
+        bytes256 = Alphabet(tuple(str(i) for i in range(256)))
+        points = 40
+        assert points <= MAX_HULL_POINTS and points * 256 > MAX_HULL_PRODUCT
+        items = []
+        for i in range(points):
+            p = i / (2 * points)
+            items.append(((i,), (p, 0.5 - p, 0.5) + (0.0,) * 253, 5))
+        with pytest.raises(ResourceLimitError):
+            hull_vertex_words(make_map(bytes256, 100, items))
 
     def test_vertices_subset_of_keys(self):
         s = simulate(two_state_synchronizable(), 20_000, seed=5)
