@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .streams import BINARY, Alphabet, SymbolStream
+from .streams import BINARY, DRAW_BLOCK, Alphabet, SymbolStream
 
 __all__ = [
     "TEXT27",
@@ -78,7 +78,13 @@ def chaotic_stream(cfg: ChaoticMapConfig) -> SymbolStream:
 
 
 def iid_stream(probs, n: int, seed: int = 0) -> SymbolStream:
-    """Independent draws from a fixed symbol distribution."""
+    """Independent draws from a fixed symbol distribution.
+
+    The symbols are those of ``rng.choice(k, size=n, p=probs)``: each block of
+    ``DRAW_BLOCK`` uniforms is looked up in the normalized cumulative
+    distribution, as ``Generator.choice`` does, and written straight into the
+    one-byte stream.
+    """
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size < 2:
         raise InvalidParameterError("distribution needs at least two symbols")
@@ -90,8 +96,14 @@ def iid_stream(probs, n: int, seed: int = 0) -> SymbolStream:
         alphabet = BINARY
     else:
         alphabet = Alphabet(tuple(str(i) for i in range(p.size)))
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
-    data = rng.choice(p.size, size=n, p=p / p.sum())
+    data = np.empty(n, dtype=np.uint8)
+    for start in range(0, n, DRAW_BLOCK):
+        u = rng.random(min(DRAW_BLOCK, n - start))
+        data[start : start + u.size] = cdf.searchsorted(u, side="right")
+    data.setflags(write=False)
     return SymbolStream(data, alphabet)
 
 

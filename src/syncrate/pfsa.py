@@ -20,7 +20,7 @@ from .errors import (
     InvalidInputError,
     NumericError,
 )
-from .streams import Alphabet, BINARY, SymbolStream, entropy
+from .streams import DRAW_BLOCK, Alphabet, BINARY, SymbolStream, entropy
 
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
@@ -169,7 +169,9 @@ def symbol_distribution(p: Pfsa, dist) -> np.ndarray:
 
 def simulate(p: Pfsa, n: int, seed=None, initial_state=None) -> SymbolStream:
     """Sample a length-n stream.  The initial state defaults to a draw from
-    the stationary distribution, so the output is stationary from symbol 0."""
+    the stationary distribution, so the output is stationary from symbol 0.
+    Uniforms are drawn in blocks of ``DRAW_BLOCK``, so the stream's one byte
+    per symbol is the only allocation that grows with n."""
     if n < 0:
         raise InvalidInputError("cannot simulate a negative number of symbols")
     rng = np.random.default_rng(seed)
@@ -185,14 +187,15 @@ def simulate(p: Pfsa, n: int, seed=None, initial_state=None) -> SymbolStream:
     delta_rows = p.delta.tolist()
     # u in (0, 1] and the first cumulative value >= u picks the symbol, so
     # zero-probability symbols can never be drawn
-    us = rng.random(n)
-    np.subtract(1.0, us, out=us)
     out = np.empty(n, dtype=np.uint8)
     dst = memoryview(out)
-    for i, u in enumerate(memoryview(us)):
-        sym = bisect_left(cum_rows[state], u)
-        dst[i] = sym
-        state = delta_rows[state][sym]
+    for start in range(0, n, DRAW_BLOCK):
+        us = rng.random(min(DRAW_BLOCK, n - start))
+        np.subtract(1.0, us, out=us)
+        for i, u in enumerate(memoryview(us), start):
+            sym = bisect_left(cum_rows[state], u)
+            dst[i] = sym
+            state = delta_rows[state][sym]
     out.setflags(write=False)
     return SymbolStream(out, p.alphabet)
 

@@ -380,6 +380,46 @@ class TestEstimatePipeline:
         assert report == estimate_entropy_rate(stream, cfg)
         assert report.cluster_count > 1
 
+    @pytest.mark.parametrize(
+        "machine,n,search,ext_max,split",
+        [
+            (two_state_nonsynchronizable(), 4096, 5, 6, False),
+            (two_state_nonsynchronizable(), 4095, 5, 6, True),
+            (three_symbol_machine(), 729, 2, 3, False),
+            (three_symbol_machine(), 728, 2, 3, True),
+            (markov27_machine(), 60_000, 1, 0, False),
+            (markov27_machine(), 60_000, 1, 3, True),
+        ],
+        ids=["binary-equal", "binary-split", "three-equal", "three-split",
+             "27-one-table", "27-split"],
+    )
+    def test_split_counts_match_one_table_chain(
+        self, monkeypatch, machine, n, search, ext_max, split
+    ):
+        # the deep words have k**(search + ext_max + 1) possible codes; the
+        # pipeline splits its count only when that exceeds the stream length
+        stream = simulate(machine, n, seed=4)
+        cfg = EstimatorConfig(
+            epsilon=0.05, sample_size=1_000, max_extension_length=ext_max, min_count=2
+        )
+        k = stream.alphabet.size
+        assert (k ** (search + ext_max + 1) > n) == split
+        table = build_count_table(stream, search + ext_max)
+        chain = estimate(stream, find_sync_string(table, search, 100), cfg, table)
+        assert chain.sync_word
+        roots = []
+
+        def spy(*args, root=(), **kwargs):
+            roots.append(tuple(root))
+            return build_count_table(*args, root=root, **kwargs)
+
+        monkeypatch.setattr("syncrate.estimator.build_count_table", spy)
+        report = estimate_entropy_rate(
+            stream, cfg, collect_min_count=100, search_length=search
+        )
+        assert report == chain
+        assert roots == ([(), chain.sync_word] if split else [()])
+
     def test_seed_does_not_change_report(self):
         stream = simulate(two_state_nonsynchronizable(), 20_000, seed=2)
         reports = [

@@ -16,6 +16,7 @@ from syncrate import (
     iid_stream,
     normalize_text,
 )
+from syncrate.streams import DRAW_BLOCK
 
 
 def labels_of(stream):
@@ -125,6 +126,26 @@ class TestIidStream:
     def test_wide_alphabet_labels(self):
         s = iid_stream([0.25] * 4, 100)
         assert s.alphabet.labels == ("0", "1", "2", "3")
+
+    @pytest.mark.parametrize(
+        "n", [1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 3 * DRAW_BLOCK + 5]
+    )
+    def test_matches_generator_choice(self, n):
+        for probs in ([0.3, 0.7], [0.2, 0.0, 0.3, 0.5], [1 / 27] * 27):
+            for seed in (0, 5):
+                p = np.asarray(probs)
+                want = np.random.default_rng(seed).choice(p.size, size=n, p=p / p.sum())
+                assert np.array_equal(iid_stream(probs, n, seed=seed).data, want)
+
+    def test_peak_memory_one_byte_per_symbol(self):
+        n = 2_000_000
+        tracemalloc.start()
+        try:
+            s = iid_stream([0.1, 0.2, 0.3, 0.15, 0.25], n, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(s) == n and peak / n < 2
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from syncrate import BINARY, Alphabet, InvalidInputError
 from syncrate.errors import ImpossibleEvolutionError
+from syncrate.streams import DRAW_BLOCK
 from syncrate.pfsa import (
     Pfsa,
     analytical_entropy_rate,
@@ -269,6 +272,29 @@ class TestSimulate:
         np.testing.assert_array_equal(
             s.data, reference_simulate(p, n, seed, initial)
         )
+
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 3 * DRAW_BLOCK + 5]
+    )
+    def test_block_draws_match_one_shot_draw(self, n):
+        # the reference draws all n uniforms at once
+        p = two_state_nonsynchronizable()
+        for seed in (0, 7):
+            np.testing.assert_array_equal(
+                simulate(p, n, seed=seed).data, reference_simulate(p, n, seed, None)
+            )
+
+    def test_peak_memory_one_byte_per_symbol(self):
+        n = 2_000_000
+        p = two_state_nonsynchronizable()
+        tracemalloc.start()
+        try:
+            s = simulate(p, n, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(s) == n and peak / n < 2
 
 
 class TestTextFormat:

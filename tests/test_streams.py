@@ -325,6 +325,52 @@ class TestCountTable:
                 want = [naive_count(seq, x) * (x[: len(root)] == root) for x in succ]
                 assert row.tolist() == want
 
+    @given(rooted_tables())
+    @example((2, [], 3, ()))
+    @example((2, [], 3, (1,)))
+    # the empty root; a root longer than the stream; a stream below the depth
+    @example((5, [0, 1, 2, 3, 4, 0, 1], 6, ()))
+    @example((3, [0, 1], 4, (0, 1, 2)))
+    @example((3, [0, 1, 2], 6, (0, 1)))
+    # a root that never occurs, and roots seen only in the cut windows
+    @example((4, [0, 1, 0, 1, 0, 1], 2, (3, 3)))
+    @example((3, [0, 0, 0, 0, 2], 3, (2,)))
+    @example((3, [0, 0, 0, 0, 2], 3, (0, 2)))
+    @example((27, [0, 0, 0, 0, 26], 2, (0, 26)))
+    # roots of the full depth, and a long view for the boundary search
+    @example((2, [0, 1, 1, 0, 1, 1, 0], 3, (1, 1, 0, 1)))
+    @example((27, list(range(27)) * 2, 1, (5, 6)))
+    @example((2, LONG_BINARY, 6, (1,)))
+    @example((2, LONG_BINARY, 9, (0, 1, 1)))
+    @settings(max_examples=300, deadline=None)
+    def test_rooted_build_matches_rooted_view(self, case):
+        k, seq, max_len, root = case
+        s = SymbolStream(seq, Alphabet(tuple(str(i) for i in range(k))))
+        full = build_count_table(s, max_len)
+        view = full.rooted(root)
+        built = build_count_table(s, max_len, root=root)
+        assert built.stream_length == view.stream_length
+        assert built.max_len == view.max_len
+        # deepest first: no level may depend on which were read before
+        for length in reversed(range(max_len + 2)):
+            for got, want in zip(built.level(length), view.level(length)):
+                assert got.dtype == want.dtype == np.int64
+                assert np.array_equal(got, want)
+        for length in range(max_len + 1):
+            codes = full.level(length)[0]
+            assert np.array_equal(
+                built.successor_rows(codes, length), view.successor_rows(codes, length)
+            )
+
+    def test_rooted_build_refusals(self):
+        s = stream_from("010101")
+        with pytest.raises(InvalidInputError):
+            build_count_table(s, max_len=2, root=(0, 1, 0, 1))
+        with pytest.raises(InvalidInputError):
+            build_count_table(s, max_len=2, root=(2,))
+        with pytest.raises(ResourceLimitError):
+            build_count_table(s, max_len=4, max_entries=5, root=(0,))
+
     def test_build_peak_memory(self):
         # 2**11 window codes fit 16 bits: two bytes of codes per symbol, read
         # straight from the one-byte stream, then one byte of run mask
