@@ -16,7 +16,6 @@ from .errors import (
     InvalidParameterError,
     NumericError,
     ResourceLimitError,
-    UndefinedDerivativeError,
 )
 from .streams import (
     BINARY,
@@ -25,7 +24,6 @@ from .streams import (
     SymbolStream,
     build_count_table,
     entropy,
-    symbolic_derivative,
 )
 from .sync import (
     DerivativeMap,

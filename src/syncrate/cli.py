@@ -38,7 +38,7 @@ from .generate import (
 )
 from .lz78 import lz78_curve, lz78_entropy_estimate
 from .pfsa import load_pfsa, simulate
-from .streams import BINARY, Alphabet, SymbolStream, build_count_table
+from .streams import Alphabet, SymbolStream, build_count_table
 from .sync import (
     candidate_length,
     collect_derivatives,
@@ -123,11 +123,9 @@ def _load_stream(args) -> tuple[SymbolStream, str]:
     if args.alphabet_map:
         alphabet = _read_alphabet_map(args.alphabet_map)
     else:
-        top = int(raw.max()) if raw.size else 1
-        if top <= 1:
-            alphabet = BINARY
-        else:
-            alphabet = Alphabet(tuple(str(i) for i in range(top + 1)))
+        # two symbols at least, so an empty or all-zero file reads as binary
+        top = int(raw.max(initial=1))
+        alphabet = Alphabet(tuple(str(i) for i in range(top + 1)))
     return SymbolStream(raw, alphabet), digest
 
 
@@ -241,7 +239,8 @@ def cmd_sync(args) -> int:
     )
     table = build_count_table(stream, length)
     derivs = collect_derivatives(table, length, min_count)
-    result = select_sync_string(derivs, hull_vertex_words(derivs))
+    vertices = hull_vertex_words(derivs)
+    result = select_sync_string(derivs, vertices)
     manifest = RunManifest(
         subcommand="sync",
         config={
@@ -269,7 +268,7 @@ def cmd_sync(args) -> int:
     word = _word_label(stream.alphabet, result.word, human=True)
     print(f"sync word      {word}", file=summary)
     print(f"frequency      {result.frequency:.6f}", file=summary)
-    print(f"hull vertices  {len(result.hull_words)}", file=summary)
+    print(f"hull vertices  {len(vertices)}", file=summary)
     return 0
 
 

@@ -21,10 +21,6 @@ class InsufficientDataError(EstimationError):
     """Stream too short to support the requested statistic."""
 
 
-class UndefinedDerivativeError(EstimationError):
-    """Symbolic derivative queried at a word with no observed successor."""
-
-
 class ImpossibleEvolutionError(EstimationError):
     """State distribution pushed onto zero mass by an impossible symbol."""
 

@@ -92,10 +92,7 @@ def iid_stream(probs, n: int, seed: int = 0) -> SymbolStream:
         raise InvalidParameterError("probabilities must be non-negative and sum to 1")
     if n < 1:
         raise InvalidParameterError("stream length must be positive")
-    if p.size == 2:
-        alphabet = BINARY
-    else:
-        alphabet = Alphabet(tuple(str(i) for i in range(p.size)))
+    alphabet = Alphabet(tuple(str(i) for i in range(p.size)))
     cdf = (p / p.sum()).cumsum()
     cdf /= cdf[-1]
     rng = np.random.default_rng(seed)

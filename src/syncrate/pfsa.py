@@ -133,22 +133,17 @@ def analytical_entropy_rate(p: Pfsa) -> float:
 
 
 def evolve(p: Pfsa, dist, word) -> np.ndarray:
-    """Push a state distribution through a word, renormalizing after each
-    symbol.  Raises ImpossibleEvolutionError if the word has zero probability
-    from every state with mass."""
+    """Push a state distribution through a word: after each symbol s it is
+    ``d @ transformation_matrix(p, s)``, renormalized.  Raises
+    ImpossibleEvolutionError if the word has zero probability from every
+    state with mass."""
     d = np.asarray(dist, dtype=float)
     if d.shape != (p.n_states,) or (d < 0).any():
         raise InvalidInputError("state distribution has wrong shape or sign")
     if abs(d.sum() - 1.0) > 1e-9:
         raise InvalidInputError("state distribution must sum to 1")
-    q = p.n_states
     for pos, symbol in enumerate(word):
-        if not 0 <= symbol < p.alphabet.size:
-            raise InvalidInputError(f"symbol index {symbol} outside alphabet")
-        nxt = np.zeros(q)
-        active = p.pi[:, symbol] > 0.0
-        contrib = d * np.where(active, p.pi[:, symbol], 0.0)
-        np.add.at(nxt, p.delta[active, symbol], contrib[active])
+        nxt = d @ transformation_matrix(p, symbol)
         total = nxt.sum()
         if total <= 0.0:
             raise ImpossibleEvolutionError(
@@ -228,43 +223,31 @@ def format_pfsa(p: Pfsa) -> str:
 
 def parse_pfsa(text: str) -> Pfsa:
     """Parse the text form.  Errors carry 1-based line numbers."""
-    lines = text.splitlines()
-    header = None
-    header_no = 0
-    for no, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        header = stripped.split()
-        header_no = no
-        break
-    if header is None:
-        raise InvalidInputError("line 1: empty machine description")
-    if header[0] != "pfsa" or len(header) < 4:
-        raise InvalidInputError(
-            f"line {header_no}: header must read 'pfsa <n_states> <label...>' "
-            "with at least two labels"
-        )
-    try:
-        n_states = int(header[1])
-    except ValueError:
-        raise InvalidInputError(
-            f"line {header_no}: state count {header[1]!r} is not an integer"
-        ) from None
-    if n_states < 1:
-        raise InvalidInputError(f"line {header_no}: state count must be positive")
-    alphabet = Alphabet(header[2:])
-    k = alphabet.size
-    delta = np.full((n_states, k), -1, dtype=np.int64)
-    pi = np.zeros((n_states, k))
-    seen = set()
-    for no, raw in enumerate(lines, start=1):
-        if no <= header_no:
-            continue
+    alphabet = None
+    for no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
         parts = stripped.split()
+        if alphabet is None:
+            if parts[0] != "pfsa" or len(parts) < 4:
+                raise InvalidInputError(
+                    f"line {no}: header must read 'pfsa <n_states> <label...>' "
+                    "with at least two labels"
+                )
+            try:
+                n_states = int(parts[1])
+            except ValueError:
+                raise InvalidInputError(
+                    f"line {no}: state count {parts[1]!r} is not an integer"
+                ) from None
+            if n_states < 1:
+                raise InvalidInputError(f"line {no}: state count must be positive")
+            alphabet = Alphabet(parts[2:])
+            delta = np.full((n_states, alphabet.size), -1, dtype=np.int64)
+            pi = np.zeros((n_states, alphabet.size))
+            seen = set()
+            continue
         if len(parts) != 4:
             raise InvalidInputError(
                 f"line {no}: arc must read 'src symbol dst prob', got {len(parts)} fields"
@@ -295,6 +278,8 @@ def parse_pfsa(text: str) -> Pfsa:
         seen.add((src, sym))
         delta[src, sym] = dst
         pi[src, sym] = prob
+    if alphabet is None:
+        raise InvalidInputError("line 1: empty machine description")
     try:
         return Pfsa(alphabet, delta, pi)
     except InvalidInputError as exc:

@@ -23,11 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    InvalidInputError,
-    ResourceLimitError,
-    UndefinedDerivativeError,
-)
+from .errors import InvalidInputError, ResourceLimitError
 
 # Words are packed into codes, digit i weighted by k**(L-1-i).  The build
 # encodes and sorts windows in the narrowest of these dtypes that holds
@@ -226,10 +222,6 @@ class CountTable:
         succ = codes[:, None] * k + np.arange(k, dtype=np.int64)
         return self.counts_for_codes(succ.ravel(), length + 1).reshape(-1, k)
 
-    def successor_counts(self, word) -> np.ndarray:
-        """Counts of word + sigma for each alphabet symbol sigma."""
-        return self.successor_rows([self.encode(word)], len(word))[0]
-
     def level(self, length: int):
         """(codes, counts) arrays of all stored words of one length."""
         if not 0 <= length <= self.max_len + 1:
@@ -331,9 +323,7 @@ def _distinct_windows(columns, size: int, k: int, width: int):
 
 def _cut_windows(data, k: int, top: int):
     """Codes and lengths of the top - 1 proper suffixes of the final window."""
-    last = 0
-    for sym in data[data.size - top :].tolist():
-        last = last * k + sym
+    last = _encode(data[data.size - top :].tolist(), k)
     lens = np.arange(top - 1, 0, -1, dtype=np.int64)
     return last % k**lens, lens
 
@@ -415,20 +405,6 @@ def build_count_table(
     reach[reach] = hit[n - cut_lens[reach]]
     cut = (cut_codes[reach], cut_lens[reach])
     return CountTable(s.alphabet, n, max_len, (codes, counts), cut, r)
-
-
-def symbolic_derivative(t: CountTable, word) -> np.ndarray:
-    """Successor distribution of ``word``: counts of word+sigma, normalized.
-
-    Undefined (raises) when no successor of the word was ever observed.
-    """
-    succ = t.successor_counts(word)
-    total = int(succ.sum())
-    if total == 0:
-        raise UndefinedDerivativeError(
-            f"no observed successor of word {tuple(word)!r}"
-        )
-    return succ / total
 
 
 def entropy(dist):

@@ -106,7 +106,8 @@ def _is_vertex(points: np.ndarray, index: int) -> bool:
 
 
 def hull_vertex_words(derivs: DerivativeMap) -> list:
-    """Words whose derivatives lie at vertices of the derivative cloud.
+    """Words whose derivatives lie at vertices of the derivative cloud, in
+    ``derivs.entries`` order.
 
     Derivatives are deduplicated to 9 decimal places (``_HULL_DECIMALS``)
     first, so a cluster of words sharing one extreme point all come back.
@@ -120,20 +121,14 @@ def hull_vertex_words(derivs: DerivativeMap) -> list:
     product allows took 0.3 s, 64 points 1.8 s and 257 points 28 s.
     """
     k = derivs.alphabet.size
-    entries = derivs.entries
-    words = list(entries)
-    points = np.array([entries[w][0] for w in words])
-    keys = [tuple(np.round(p, _HULL_DECIMALS)) for p in points]
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    uniq = list(groups)
-    if len(uniq) == 1:
-        vertex_keys = uniq
-    elif k == 2:
-        firsts = [key[0] for key in uniq]
-        lo, hi = min(firsts), max(firsts)
-        vertex_keys = [key for key in uniq if key[0] == lo or key[0] == hi]
+    points = np.array([d for d, _ in derivs.entries.values()])
+    uniq, group = np.unique(
+        np.round(points, _HULL_DECIMALS), axis=0, return_inverse=True
+    )
+    if k == 2 or len(uniq) == 1:
+        # unique rows come back sorted: the first coordinate's extremes are
+        # the first and last rows
+        vertex = (uniq[:, 0] == uniq[0, 0]) | (uniq[:, 0] == uniq[-1, 0])
     elif len(uniq) > MAX_HULL_POINTS or len(uniq) * k > MAX_HULL_PRODUCT:
         raise ResourceLimitError(
             f"hull test over {len(uniq)} distinct derivatives of {k} symbols "
@@ -141,27 +136,21 @@ def hull_vertex_words(derivs: DerivativeMap) -> list:
             "times symbols; shorten the search or raise the count floor"
         )
     else:
-        pts = np.array(uniq)
-        vertex_keys = [key for j, key in enumerate(uniq) if _is_vertex(pts, j)]
-    chosen = []
-    for key in vertex_keys:
-        chosen.extend(words[i] for i in groups[key])
-    return chosen
+        vertex = [_is_vertex(uniq, j) for j in range(len(uniq))]
+    return [w for w, g in zip(derivs.entries, group) if vertex[g]]
 
 
 @dataclass(frozen=True)
 class SyncResult:
     """Selected synchronizing word with its observed statistics.
 
-    ``frequency`` is the occurrence frequency of the word in the stream, and
-    ``hull_words`` the full vertex set the word was drawn from.
+    ``frequency`` is the occurrence frequency of the word in the stream.
     """
 
     word: tuple
     derivative: np.ndarray
     count: int
     frequency: float
-    hull_words: tuple
 
 
 def select_sync_string(derivs: DerivativeMap, vertex_words) -> SyncResult:
@@ -175,7 +164,6 @@ def select_sync_string(derivs: DerivativeMap, vertex_words) -> SyncResult:
         derivative=derivative,
         count=cnt,
         frequency=cnt / derivs.stream_length,
-        hull_words=tuple(vertex_words),
     )
 
 

@@ -399,6 +399,25 @@ def test_load_stream_holds_one_byte_per_symbol(tmp_path):
     assert len(stream) == n and peak / n < 2
 
 
+@pytest.mark.parametrize(
+    "symbols, labels",
+    [
+        ([], ("0", "1")),
+        ([0, 0, 0], ("0", "1")),
+        ([0, 1, 1, 0], ("0", "1")),
+        ([0, 2, 1], ("0", "1", "2")),
+    ],
+)
+def test_load_stream_alphabet_rule(symbols, labels, tmp_path):
+    # labels 0..max symbol, never fewer than two: binary files read as BINARY
+    path = tmp_path / "in.raw"
+    np.array(symbols, dtype=np.uint8).tofile(path)
+    args = argparse.Namespace(input=str(path), alphabet_map=None, text=False)
+    stream, _digest = _load_stream(args)
+    assert stream.alphabet.labels == labels
+    assert (stream.alphabet == BINARY) == (len(labels) == 2)
+
+
 def test_module_entry_point():
     # the child imports the package from where this process found it
     src = os.path.dirname(os.path.dirname(syncrate.__file__))

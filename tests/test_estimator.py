@@ -292,7 +292,8 @@ def reference_estimate(sync, cfg, table):
     words = 0
     for ell in range(ext_max + 1):
         for word in itertools.product(range(k), repeat=ell):
-            succ = table.successor_counts(sync.word + word)
+            row = sync.word + word
+            succ = table.successor_rows([table.encode(row)], len(row))[0]
             total = int(succ.sum())
             if total > cfg.min_count:
                 w = 1.0 / ((ext_max + 1) * k**ell)

@@ -123,6 +123,9 @@ class TestIidStream:
         sigma = np.sqrt(p * (1 - p) / len(s))
         assert (np.abs(freqs - p) <= 3 * sigma).all()
 
+    def test_two_symbols_are_binary(self):
+        assert iid_stream((0.5, 0.5), 100).alphabet == BINARY
+
     def test_wide_alphabet_labels(self):
         s = iid_stream([0.25] * 4, 100)
         assert s.alphabet.labels == ("0", "1", "2", "3")

@@ -11,10 +11,8 @@ from syncrate import (
     InvalidInputError,
     ResourceLimitError,
     SymbolStream,
-    UndefinedDerivativeError,
     build_count_table,
     entropy,
-    symbolic_derivative,
 )
 
 
@@ -406,7 +404,7 @@ class TestCountTable:
             m = int(rng.integers(0, 6))
             w = tuple(rng.integers(0, 2, size=m))
             c = t.count(w)
-            succ = int(t.successor_counts(w).sum())
+            succ = int(t.successor_rows([t.encode(w)], m).sum())
             assert 0 <= c - succ <= 1
 
     def test_prefix_monotone(self):
@@ -435,35 +433,6 @@ class TestCountTable:
         s = stream_from("01" * 500)
         with pytest.raises(ResourceLimitError):
             build_count_table(s, max_len=9, max_entries=100)
-
-
-class TestSymbolicDerivative:
-    def test_worked_examples(self):
-        # frozen: derivatives on "0001"
-        t = build_count_table(stream_from("0001"), max_len=2)
-        np.testing.assert_allclose(
-            symbolic_derivative(t, BINARY.encode("0")), [2 / 3, 1 / 3]
-        )
-        np.testing.assert_allclose(symbolic_derivative(t, ()), [0.75, 0.25])
-
-    def test_undefined(self):
-        # "11" never occurs, so "1" has successors but "11" has none
-        t = build_count_table(stream_from("0001"), max_len=2)
-        with pytest.raises(UndefinedDerivativeError):
-            symbolic_derivative(t, BINARY.encode("01"))
-
-    @given(st.lists(st.integers(0, 2), min_size=10, max_size=80))
-    @settings(max_examples=60)
-    def test_is_distribution(self, seq):
-        a = Alphabet("abc")
-        s = SymbolStream(seq, a)
-        t = build_count_table(s, max_len=2)
-        for w in [(), (0,), (1, 2)]:
-            if int(t.successor_counts(w).sum()) == 0:
-                continue
-            d = symbolic_derivative(t, w)
-            assert d.min() >= 0.0
-            assert abs(d.sum() - 1.0) <= 1e-12
 
 
 class TestEntropy:

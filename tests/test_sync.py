@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncrate import (
     BINARY,
@@ -95,6 +97,14 @@ class TestCollectDerivatives:
         for d, _count in derivs.entries.values():
             assert abs(d[0] - 0.5) < 0.06
 
+    @given(st.lists(st.integers(0, 2), min_size=10, max_size=80))
+    @settings(max_examples=60)
+    def test_is_distribution(self, seq):
+        t = build_count_table(SymbolStream(seq, ABC), 2)
+        for d, _count in collect_derivatives(t, 2, min_count=1).entries.values():
+            assert d.min() >= 0.0
+            assert abs(d.sum() - 1.0) <= 1e-12
+
 
 class TestHullVertexWords:
     def test_segment_extremes(self):
@@ -109,18 +119,58 @@ class TestHullVertexWords:
         derivs = make_map(BINARY, 100, [((0,), (0.4, 0.6), 12)])
         assert hull_vertex_words(derivs) == [(0,)]
 
-    def test_shared_extreme_point_keeps_all_words(self):
-        derivs = make_map(
-            BINARY,
-            100,
-            [
-                ((0,), (0.8, 0.2), 5),
-                ((1, 0), (0.8, 0.2), 4),
-                ((1,), (0.5, 0.5), 9),
-                ((0, 1), (0.2, 0.8), 3),
-            ],
-        )
-        assert set(hull_vertex_words(derivs)) == {(0,), (1, 0), (0, 1)}
+    @pytest.mark.parametrize(
+        "alphabet, points, expected",
+        [
+            pytest.param(
+                BINARY,
+                {(0,): (0.8, 0.2), (1, 0): (0.8, 0.2), (1,): (0.5, 0.5), (0, 1): (0.2, 0.8)},
+                {(0,), (1, 0), (0, 1)},
+                id="binary",
+            ),
+            pytest.param(
+                ABC,
+                {
+                    (0,): (1.0, 0.0, 0.0),
+                    (1, 0): (1.0, 0.0, 0.0),
+                    (1,): (0.0, 1.0, 0.0),
+                    (2,): (0.0, 0.0, 1.0),
+                    (0, 1): (1 / 3, 1 / 3, 1 / 3),
+                    (1, 1): (1 / 3, 1 / 3, 1 / 3),
+                },
+                {(0,), (1, 0), (1,), (2,)},
+                id="ternary-shared-vertex-and-interior",
+            ),
+            pytest.param(
+                # 1e-11 apart: one point at 9 decimals, two without rounding
+                BINARY,
+                {
+                    (0,): (0.8, 0.2),
+                    (1, 0): (0.8 + 1e-11, 0.2 - 1e-11),
+                    (1,): (0.5, 0.5),
+                    (0, 1): (0.2, 0.8),
+                },
+                {(0,), (1, 0), (0, 1)},
+                id="equal-after-rounding",
+            ),
+            pytest.param(
+                # distinct rounded points sharing each extreme first coordinate
+                BINARY,
+                {
+                    (0,): (0.8, 0.2),
+                    (1, 0): (0.8, 0.2000001),
+                    (1,): (0.5, 0.5),
+                    (0, 1): (0.2, 0.8),
+                    (1, 1): (0.2, 0.7999999),
+                },
+                {(0,), (1, 0), (0, 1), (1, 1)},
+                id="binary-first-coordinate-ties",
+            ),
+        ],
+    )
+    def test_shared_extreme_point_keeps_all_words(self, alphabet, points, expected):
+        derivs = make_map(alphabet, 100, [(w, d, 5) for w, d in points.items()])
+        assert set(hull_vertex_words(derivs)) == expected
 
     def test_simplex_corners_exclude_centroid(self):
         third = 1 / 3
@@ -204,7 +254,6 @@ class TestSelectSyncString:
         assert r.count == 50
         assert r.frequency == pytest.approx(0.25)
         np.testing.assert_allclose(r.derivative, [0.2, 0.8])
-        assert r.word in r.hull_words
 
     def test_tie_breaks_lexicographically(self):
         derivs = make_map(
