@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -53,9 +54,9 @@ class RunManifest:
 
     subcommand: str
     config: dict
-    seed: int | None
     input_digest: str
-    version: str
+    seed: int | None = None
+    version: str = __version__
 
     def digest(self) -> str:
         blob = json.dumps(
@@ -98,14 +99,28 @@ def _sha256_file(path: str) -> str:
 
 
 def _read_alphabet_map(path: str) -> Alphabet:
-    with open(path, "r", encoding="utf-8") as fh:
-        content = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            content = fh.read()
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"alphabet map {path} is not UTF-8 text") from None
     lines = content.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if any(line == "" for line in lines):
         raise InvalidInputError(f"empty label line in alphabet map {path}")
     return Alphabet(tuple(lines))
+
+
+def _number_list(text: str, flag: str) -> list[float]:
+    """The numbers in a comma-separated flag value; empty entries are skipped."""
+    try:
+        values = [float(v) for v in text.split(",") if v]
+    except ValueError:
+        values = []
+    if not values or not all(map(math.isfinite, values)):
+        raise InvalidParameterError(f"{flag} needs finite numbers, got {text!r}")
+    return values
 
 
 def _load_stream(args) -> tuple[SymbolStream, str]:
@@ -166,9 +181,7 @@ def cmd_estimate(args) -> int:
     manifest = RunManifest(
         subcommand="estimate",
         config=_resolved_estimate_config(args, k),
-        seed=None,
         input_digest=input_digest,
-        version=__version__,
     )
     columns = [
         "h",
@@ -249,9 +262,7 @@ def cmd_sync(args) -> int:
             "collect_min": min_count,
             "text": bool(args.text),
         },
-        seed=None,
         input_digest=input_digest,
-        version=__version__,
     )
     if args.tsv:
         columns = ["string", "count"] + [f"p_{c}" for c in stream.alphabet.labels]
@@ -273,10 +284,8 @@ def cmd_sync(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    alphas = [float(a) for a in args.alpha_list.split(",") if a]
-    lengths = [int(float(n)) for n in args.lengths.split(",") if n]
-    if not alphas:
-        raise InvalidParameterError("need at least one alpha")
+    alphas = _number_list(args.alpha_list, "--alpha")
+    lengths = [int(n) for n in _number_list(args.lengths, "--lengths")]
     k = args.alphabet_size
     samples = args.samples if args.samples is not None else default_sample_size(k)
     manifest = RunManifest(
@@ -288,9 +297,7 @@ def cmd_bounds(args) -> int:
             "p0": args.p0,
             "lengths": lengths,
         },
-        seed=None,
         input_digest="",
-        version=__version__,
     )
     curves = [bound_curve(k, a, samples, args.p0, lengths) for a in alphas]
     columns = ["length"] + [f"E_alpha{a:g}" for a in alphas]
@@ -303,18 +310,14 @@ def cmd_bounds(args) -> int:
 
 def cmd_benchmark(args) -> int:
     stream, input_digest = _load_stream(args)
-    marks = [int(float(n)) for n in args.checkpoints.split(",") if n]
-    if not marks:
-        raise InvalidParameterError("need at least one checkpoint")
+    marks = [int(n) for n in _number_list(args.checkpoints, "--checkpoints")]
     k = stream.alphabet.size
     manifest = RunManifest(
         subcommand="benchmark",
         config=dict(
             _resolved_estimate_config(args, k), checkpoints=marks, method="both"
         ),
-        seed=None,
         input_digest=input_digest,
-        version=__version__,
     )
     cfg = _estimator_config(args)
     lz_rows = dict(lz78_curve(stream, marks))
@@ -347,7 +350,7 @@ def cmd_generate(args) -> int:
             ChaoticMapConfig(r=args.r, n=args.n, x0=args.x0, burn_in=args.burn_in)
         )
     elif args.source == "iid":
-        probs = [float(p) for p in args.probs.split(",") if p]
+        probs = _number_list(args.probs, "--probs")
         stream = iid_stream(probs, args.n, seed=args.seed)
     else:
         if not args.input:

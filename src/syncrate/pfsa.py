@@ -287,5 +287,9 @@ def parse_pfsa(text: str) -> Pfsa:
 
 
 def load_pfsa(path) -> Pfsa:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_pfsa(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"model file {path} is not UTF-8 text") from None
+    return parse_pfsa(text)

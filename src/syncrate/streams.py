@@ -151,12 +151,10 @@ class CountTable:
     windows of length top = min(max_len + 1, n), with their counts, and the
     top - 1 windows that the stream end cuts short of that length, as codes
     with their lengths.  Any absent word has count zero.  A shorter level L
-    is derived on its first read and kept: its words are the length-L
-    prefixes of the deepest windows plus the cut windows that reach length
-    L, truncated to it.  Equal prefixes form runs of the sorted deepest
-    codes.  When the level has far fewer possible prefixes than there are
-    deepest codes, one binary search per prefix boundary finds the runs;
-    otherwise one pass divides every deepest code.  Level 0 holds the empty
+    is derived on its first read and kept, in one pass: every deepest code
+    is divided down to its length-L prefix, the cut windows that reach
+    length L are truncated to it and inserted in order with count 1, and
+    each run of equal prefixes sums to one entry.  Level 0 holds the empty
     word, code 0, counted once per position; levels longer than the stream
     are empty.
 
@@ -194,10 +192,6 @@ class CountTable:
 
     def counts_for_codes(self, codes, length):
         """Counts for an array of word codes, all of the same length."""
-        if length > self.max_len + 1:
-            raise InvalidInputError(
-                f"word of length {length} beyond table coverage {self.max_len + 1}"
-            )
         stored, counts = self.level(length)
         codes = np.asarray(codes, dtype=np.int64)
         pos = np.minimum(np.searchsorted(stored, codes), max(stored.size - 1, 0))
@@ -225,7 +219,9 @@ class CountTable:
     def level(self, length: int):
         """(codes, counts) arrays of all stored words of one length."""
         if not 0 <= length <= self.max_len + 1:
-            raise InvalidInputError(f"no stored level of length {length}")
+            raise InvalidInputError(
+                f"word of length {length} beyond table coverage {self.max_len + 1}"
+            )
         if length not in self._levels:
             self._levels[length] = self._derive(length)
         return self._levels[length]
@@ -235,38 +231,17 @@ class CountTable:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         k = self.alphabet.size
         codes, counts = self._levels[self._top]
-        span = k ** (self._top - length)
-        # prefixes of sorted codes stay sorted, so equal prefixes form runs
-        first = last = 0  # a rooted view can hold no codes
-        if codes.size:
-            first, last = codes[0] // span, codes[-1] // span
-        # Measured on 2e4 to 4.5e6 random sorted distinct codes, k = 2 to 27:
-        # the search takes 0.1-0.7 of the pass's time with at most 1/64 as
-        # many possible prefixes as codes, 0.9-1.1 near 1/32, and 1.1-1.7
-        # from 1/16 to 1/8.
-        if last - first + 1 < codes.size // 32:
-            edges = np.searchsorted(codes, np.arange(first, last + 1) * span)
-            starts = edges[_run_starts(edges)]
-            uniq = codes[starts] // span
-        else:
-            prefix = codes // span
-            starts = _run_starts(prefix)
-            uniq = prefix[starts]
-        cnt = np.add.reduceat(counts, starts)
+        prefix = codes // k ** (self._top - length)
         cut_codes, cut_lens = self._cut
         reach = cut_lens >= length
-        extra, times = np.unique(
-            cut_codes[reach] // k ** (cut_lens[reach] - length), return_counts=True
-        )
-        pos = np.searchsorted(uniq, extra)
-        found = pos < uniq.size
-        found[found] = uniq[pos[found]] == extra[found]
-        cnt[pos[found]] += times[found]
-        new = ~found
-        return (
-            np.insert(uniq, pos[new], extra[new]),
-            np.insert(cnt, pos[new], times[new]),
-        )
+        if reach.any():  # a rooted view rarely holds one: skip the two copies
+            extra = np.sort(cut_codes[reach] // k ** (cut_lens[reach] - length))
+            at = np.searchsorted(prefix, extra)
+            prefix = np.insert(prefix, at, extra)
+            counts = np.insert(counts, at, 1)
+        # prefixes of sorted codes stay sorted, so equal prefixes form runs
+        starts = _run_starts(prefix)
+        return prefix[starts], np.add.reduceat(counts, starts)
 
     def rooted(self, word) -> "CountTable":
         """The table restricted to the words that begin with ``word``.
@@ -346,14 +321,16 @@ def build_count_table(
 
     A non-empty ``root`` word gives ``build_count_table(s, max_len).rooted(root)``
     without counting the other windows.  A mask of one byte per symbol marks
-    where the root occurs; the windows starting there are gathered by their
+    the whole windows that begin with the root; they are gathered by their
     8-byte positions, one code per occurrence over the top - len(root)
     symbols behind the root, and sorted and counted as above.  The cost
-    follows the root's occurrences, not the stream.
+    follows the root's occurrences, not the stream.  Every build ends in
+    ``rooted(root)``, which keeps the cut windows that begin with the root
+    and refuses a root longer than max_len + 1 or outside the alphabet.
 
     Refuses tables whose distinct word bound (sum over lengths of
     min(n, k**L)) exceeds ``max_entries`` or whose codes would overflow
-    int64, as the full table would, and roots longer than max_len + 1.
+    int64, as the full table would.
     """
     if max_len < 0:
         raise InvalidInputError("max_len must be non-negative")
@@ -374,37 +351,30 @@ def build_count_table(
                 "reduce max_len or raise max_entries explicitly"
             )
     r = len(root)
-    if r > depth:
-        raise InvalidInputError(f"word of length {r} beyond table coverage {depth}")
-    base = _encode(root, k)
     top = min(depth, n)
     empty = np.empty(0, dtype=np.int64)
-    if r > top:
-        # the stream is shorter than the root
-        return CountTable(s.alphabet, n, max_len, (empty, empty), (empty, empty), r)
-    if top == 0:
+    deepest = cut = (empty, empty)
+    if top == 0 and r == 0:
         deepest = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
-        return CountTable(s.alphabet, n, max_len, deepest, (empty, empty))
-    data = s.data
-    windows = n - top + 1
-    cut_codes, cut_lens = _cut_windows(data, k, top)
-    if r == 0:
-        columns = (data[i : i + windows] for i in range(top))
-        deepest = _distinct_windows(columns, windows, k, top)
-        return CountTable(s.alphabet, n, max_len, deepest, (cut_codes, cut_lens))
-    # position p starts an occurrence of the root, whole or cut, for p <= n - r
-    hit = data[: n - r + 1] == root[0]
-    for i in range(1, r):
-        hit &= data[i : i + n - r + 1] == root[i]
-    pos = np.flatnonzero(hit[:windows])
-    columns = (data[i:].take(pos) for i in range(r, top))
-    codes, counts = _distinct_windows(columns, pos.size, k, top - r)
-    codes += base * k ** (top - r)
-    # the cut window of length L starts at n - L
-    reach = cut_lens >= r
-    reach[reach] = hit[n - cut_lens[reach]]
-    cut = (cut_codes[reach], cut_lens[reach])
-    return CountTable(s.alphabet, n, max_len, (codes, counts), cut, r)
+    elif r <= top:
+        data = s.data
+        windows = n - top + 1
+        cut = _cut_windows(data, k, top)
+        if r == 0:
+            columns = (data[i : i + windows] for i in range(top))
+            deepest = _distinct_windows(columns, windows, k, top)
+        else:
+            base = _encode(root, k)
+            hit = data[:windows] == root[0]
+            for i in range(1, r):
+                hit &= data[i : i + windows] == root[i]
+            pos = np.flatnonzero(hit)
+            columns = (data[i:].take(pos) for i in range(r, top))
+            codes, counts = _distinct_windows(columns, pos.size, k, top - r)
+            codes += base * k ** (top - r)
+            deepest = (codes, counts)
+    # a root longer than the stream leaves nothing to count
+    return CountTable(s.alphabet, n, max_len, deepest, cut).rooted(root)
 
 
 def entropy(dist):

@@ -305,6 +305,35 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_undecodable_model_is_one(self, tmp_path, capsys):
+        model = tmp_path / "bad.pfsa"
+        model.write_bytes(b"\xff\xfe")
+        code, _, err = run(
+            ["generate", "--source", "pfsa", "--model", str(model), "--n", "10",
+             "--out", str(tmp_path / "x.raw")],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("syncrate: ") and str(model) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["x", "nan", "inf", ","])
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--lengths", ["bounds", "--alphabet-size", "2"]),
+            ("--alpha", ["bounds", "--alphabet-size", "2", "--lengths", "1000"]),
+            ("--checkpoints", ["benchmark", "--input", "{workdir}/sync.raw"]),
+            ("--probs", ["generate", "--source", "iid", "--n", "10", "--out", "{tmp}/x"]),
+        ],
+    )
+    def test_bad_number_list_is_one(self, flag, argv, value, workdir, tmp_path, capsys):
+        argv = [a.format(workdir=workdir, tmp=tmp_path) for a in argv] + [flag, value]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert err.startswith(f"syncrate: {flag} ")
+        assert "Traceback" not in err
+
 
 EDGE_STREAMS = {
     "empty": np.zeros(0, dtype=np.uint8),
@@ -368,14 +397,15 @@ class TestEdgeInputs:
     @pytest.mark.parametrize(
         "argv, labels",
         [
-            (["sync"], "a\nb\n"),  # fewer labels than the stream's symbols
-            (["estimate"], "a\nb\na\n"),  # duplicate labels
+            (["sync"], b"a\nb\n"),  # fewer labels than the stream's symbols
+            (["estimate"], b"a\nb\na\n"),  # duplicate labels
+            (["estimate"], b"a\n\xff\xfe\nc\n"),  # not UTF-8
         ],
     )
     def test_bad_alphabet_map_is_one(self, argv, labels, tmp_path, capsys):
         path = tmp_path / "ternary.raw"
         EDGE_STREAMS["ternary"].tofile(path)
-        (tmp_path / "labels.txt").write_text(labels)
+        (tmp_path / "labels.txt").write_bytes(labels)
         code, _, err = run(
             argv + ["--input", str(path), "--alphabet-map", str(tmp_path / "labels.txt")],
             capsys,

@@ -50,7 +50,7 @@ def per_level_unique(data, k, max_len):
 
 
 # long enough that the shallow levels have far fewer possible prefixes than
-# there are deepest codes, so CountTable derives them by boundary search
+# there are deepest codes, so each derived level folds long prefix runs
 LONG_BINARY = np.random.default_rng(0).integers(0, 2, size=400).tolist()
 
 # the largest code k**top - 1 on each side of the 8-, 16- and 32-bit window
@@ -236,8 +236,8 @@ class TestCountTable:
     @example((2, [1], 0))
     @example((3, [0, 1], 4))
     @example((27, [0, 0, 0, 0, 26], 2))
-    # symbols 0 and 2 only: levels 0-1 by boundary search, level 1 over a
-    # prefix range with no word of prefix 1; levels 2-7 by the full pass
+    # symbols 0 and 2 only: long prefix runs at levels 0-1, and level 1
+    # holds no word of prefix 1 between its first and last prefix
     @example((3, [2 * x for x in LONG_BINARY], 7))
     @with_examples(*[(case,) for case in DTYPE_EDGES])
     @settings(max_examples=300, deadline=None)
@@ -288,8 +288,8 @@ class TestCountTable:
     @example((27, [0, 0, 0, 0, 26], 2, (0, 26)))
     @example((27, [0, 0, 0, 0, 26], 2, (26,)))
     @example((2, [0, 1, 1, 0, 1, 1, 0], 4, (1, 1, 0)))
-    # a view of about 64 deepest codes: level 1 by boundary search, 2-6 by
-    # the full pass; then an empty view read below the table's top
+    # a view of about 64 deepest codes, folded into one level-1 word; then
+    # an empty view read below the table's top
     @example((2, LONG_BINARY, 6, (1,)))
     @example((2, [0] * 10, 3, (1,)))
     @settings(max_examples=300, deadline=None)
@@ -335,7 +335,7 @@ class TestCountTable:
     @example((3, [0, 0, 0, 0, 2], 3, (2,)))
     @example((3, [0, 0, 0, 0, 2], 3, (0, 2)))
     @example((27, [0, 0, 0, 0, 26], 2, (0, 26)))
-    # roots of the full depth, and a long view for the boundary search
+    # roots of the full depth, and long views with long prefix runs
     @example((2, [0, 1, 1, 0, 1, 1, 0], 3, (1, 1, 0, 1)))
     @example((27, list(range(27)) * 2, 1, (5, 6)))
     @example((2, LONG_BINARY, 6, (1,)))
@@ -366,6 +366,9 @@ class TestCountTable:
             build_count_table(s, max_len=2, root=(0, 1, 0, 1))
         with pytest.raises(InvalidInputError):
             build_count_table(s, max_len=2, root=(2,))
+        # no window to count, and still refused
+        with pytest.raises(InvalidInputError):
+            build_count_table(SymbolStream([], BINARY), max_len=2, root=(2,))
         with pytest.raises(ResourceLimitError):
             build_count_table(s, max_len=4, max_entries=5, root=(0,))
 
@@ -420,7 +423,7 @@ class TestCountTable:
     def test_query_beyond_coverage(self):
         t = build_count_table(stream_from("010101"), max_len=2)
         t.count((0, 1, 0))  # max_len + 1 is covered
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="length 4 beyond table coverage 3"):
             t.count((0, 1, 0, 1))
 
     def test_code_overflow_guard(self):
