@@ -15,11 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InsufficientDataError,
-    InvalidInputError,
-    InvalidParameterError,
-)
+from .errors import InsufficientDataError, InvalidParameterError
 from .streams import CountTable, SymbolStream, build_count_table, entropy
 from .sync import SyncResult, candidate_length, find_sync_string
 
@@ -228,30 +224,21 @@ def estimate(
 
     Every extension w of length l <= ext_max counts at its exact weight
     k^-l / (ext_max + 1); only words x0·w seen more than ``min_count`` times
-    contribute.  Each length is one matrix of successor rows whose entropies
-    are summed at once.  Every count is read through ``table.rooted(x0)``,
-    which derives only the levels of the words that begin with x0.
+    contribute.  One ``CountTable.walk`` from x0, through ``table.rooted(x0)``,
+    gives each length's words and successor rows and misses no word; each
+    length's row entropies are summed in one call.
     """
     k = stream.alphabet.size
     ext_max = cfg.resolved_extension_length(k)
-    needed = len(sync.word) + ext_max
-    if table.max_len < needed:
-        raise InvalidInputError(
-            f"count table covers words up to length {table.max_len}, "
-            f"estimation needs {needed}"
-        )
-    behind = table.rooted(sync.word)
     weighted_h = mass = 0.0
     words = 0
-    for ell in range(ext_max + 1):
-        length = len(sync.word) + ell
-        codes, counts = behind.level(length)
-        # a word's successors never outnumber its own occurrences
-        succ = behind.successor_rows(codes[counts > cfg.min_count], length)
+    walk = table.walk(sync.word, cfg.min_count + 1, len(sync.word) + ext_max)
+    for length, _codes, _counts, succ in walk:
+        # a word at the stream end has one successor fewer than occurrences
         totals = succ.sum(axis=1, keepdims=True)
         keep = totals[:, 0] > cfg.min_count
         dists = succ[keep] / totals[keep]
-        weight = 1.0 / ((ext_max + 1) * k**ell)
+        weight = 1.0 / ((ext_max + 1) * k ** (length - len(sync.word)))
         weighted_h += weight * entropy(dists).sum()
         mass += weight * len(dists)
         words += len(dists)

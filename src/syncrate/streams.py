@@ -10,11 +10,11 @@ narrowest of 2, 4 or 8 bytes that fits, and keeps only the deepest windows
 as sorted distinct int64 codes with counts, 16 bytes per distinct window.
 Codes put the first symbol in the most significant digit.  Shorter words are
 prefixes of those codes, and the words that begin with a given word fill one
-contiguous slice of them, so shorter levels and per-word views are derived
-on demand.  Given a root word, the build counts only the windows that begin
-with it: one byte of mask per symbol finds the root's occurrences, and each
-occurrence costs an 8-byte position and one window code, so a root seen at a
-few percent of the positions sorts a few percent of the windows.
+contiguous slice of them, so a shorter level is derived on each read and a
+per-word view shares the slice.  Memory is the deepest level plus the one
+level being read.  Given a root word, the build counts only the windows that
+begin with it, so a root seen at a few percent of the positions sorts a few
+percent of the windows.
 """
 
 from __future__ import annotations
@@ -118,6 +118,8 @@ class SymbolStream:
         return cls([alphabet.index(c) for c in text], alphabet)
 
     def prefix(self, n: int) -> "SymbolStream":
+        if n < 0:
+            raise InvalidInputError(f"prefix length must be non-negative, got {n}")
         return SymbolStream(self.data[:n], self.alphabet)
 
     def __len__(self):
@@ -151,20 +153,18 @@ class CountTable:
     windows of length top = min(max_len + 1, n), with their counts, and the
     top - 1 windows that the stream end cuts short of that length, as codes
     with their lengths.  Any absent word has count zero.  A shorter level L
-    is derived on its first read and kept, in one pass: every deepest code
-    is divided down to its length-L prefix, the cut windows that reach
-    length L are truncated to it and inserted in order with count 1, and
-    each run of equal prefixes sums to one entry.  Level 0 holds the empty
-    word, code 0, counted once per position; levels longer than the stream
-    are empty.
+    is derived on each read, in one pass: every deepest code is divided down
+    to its length-L prefix, the cut windows that reach L are truncated to it
+    and inserted with count 1, and each run of equal prefixes sums to one
+    entry.  Level 0 holds the empty word, counted once per position.
 
-    Memory: 16 bytes per distinct deepest window, plus 16 bytes per entry of
-    every level once read.  ``rooted`` restricts the table to the words that
-    begin with one word, sharing the deepest arrays.  Read only.
+    Memory: 16 bytes per distinct deepest window, plus the one level being
+    read; ``walk`` reads each level once, so none is kept.  ``rooted``
+    restricts the table to the words that begin with one word.  Read only.
     """
 
     __slots__ = (
-        "alphabet", "stream_length", "max_len", "_root_len", "_top", "_cut", "_levels"
+        "alphabet", "stream_length", "max_len", "_root_len", "_top", "_cut", "_deepest"
     )
 
     def __init__(self, alphabet, stream_length, max_len, deepest, cut, root_len=0):
@@ -174,7 +174,7 @@ class CountTable:
         self._root_len = root_len
         self._top = min(max_len + 1, stream_length)
         self._cut = cut
-        self._levels = {self._top: deepest}
+        self._deepest = deepest
 
     def encode(self, word) -> int:
         return _encode(word, self.alphabet.size)
@@ -188,33 +188,32 @@ class CountTable:
         return tuple(reversed(out))
 
     def count(self, word) -> int:
-        return int(self.counts_for_codes([self.encode(word)], len(word))[0])
-
-    def counts_for_codes(self, codes, length):
-        """Counts for an array of word codes, all of the same length."""
-        stored, counts = self.level(length)
-        codes = np.asarray(codes, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(stored, codes), max(stored.size - 1, 0))
-        out = np.zeros(codes.size, dtype=np.int64)
-        if stored.size:
-            hit = stored[pos] == codes
-            out[hit] = counts[pos[hit]]
-        return out
+        codes, counts = self.level(len(word))
+        return int(counts[codes == self.encode(word)].sum())
 
     def successor_rows(self, codes, length) -> np.ndarray:
         """Successor counts of words of one length <= max_len, given by code.
 
         Row i of the (len(codes), k) result holds the count of word_i + sigma
-        for each symbol sigma; an empty code array gives zero rows.
+        for each symbol sigma; an empty code array gives zero rows.  The
+        successors of the word with code c fill the range [c*k, c*k + k) of
+        level length + 1, found by two searches per word.
         """
         if length > self.max_len:
             raise InvalidInputError(
                 f"successors of a length-{length} word need coverage {length + 1}"
             )
         k = self.alphabet.size
-        codes = np.asarray(codes, dtype=np.int64)
-        succ = codes[:, None] * k + np.arange(k, dtype=np.int64)
-        return self.counts_for_codes(succ.ravel(), length + 1).reshape(-1, k)
+        first = np.asarray(codes, dtype=np.int64) * k
+        stored, counts = self.level(length + 1)
+        lo = np.searchsorted(stored, first)
+        found = np.searchsorted(stored, first + k) - lo
+        word = np.repeat(np.arange(first.size), found)
+        # entry j of the concatenated ranges sits at lo + j - (start of its range)
+        at = np.arange(word.size) + (lo - np.cumsum(found) + found)[word]
+        rows = np.zeros((first.size, k), dtype=np.int64)
+        rows[word, stored[at] - first[word]] = counts[at]
+        return rows
 
     def level(self, length: int):
         """(codes, counts) arrays of all stored words of one length."""
@@ -222,15 +221,12 @@ class CountTable:
             raise InvalidInputError(
                 f"word of length {length} beyond table coverage {self.max_len + 1}"
             )
-        if length not in self._levels:
-            self._levels[length] = self._derive(length)
-        return self._levels[length]
-
-    def _derive(self, length):
+        codes, counts = self._deepest
+        if length == self._top:
+            return codes, counts
         if not self._root_len <= length < self._top:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         k = self.alphabet.size
-        codes, counts = self._levels[self._top]
         prefix = codes // k ** (self._top - length)
         cut_codes, cut_lens = self._cut
         reach = cut_lens >= length
@@ -241,7 +237,30 @@ class CountTable:
             counts = np.insert(counts, at, 1)
         # prefixes of sorted codes stay sorted, so equal prefixes form runs
         starts = _run_starts(prefix)
-        return prefix[starts], np.add.reduceat(counts, starts)
+        prefix = prefix[starts]  # frees the full prefix array before the sums
+        return prefix, np.add.reduceat(counts, starts)
+
+    def walk(self, root, floor: int, depth: int):
+        """Yield (length, codes, counts, rows) for length = len(root)..depth:
+        the words root·w seen at least max(floor, 1) times, in code order,
+        their counts and successor rows.  The next length's words are the row
+        entries that clear the floor; no word outnumbers its prefix, so none
+        is missed, and each level is read once, as successors."""
+        if depth > self.max_len:
+            raise InvalidInputError(
+                f"count table covers words up to length {self.max_len}, walk needs {depth}"
+            )
+        view = self.rooted(root)
+        k = self.alphabet.size
+        codes, counts = view.level(len(root))
+        for length in range(len(root), depth + 1):
+            keep = counts >= max(floor, 1)
+            codes, counts = codes[keep], counts[keep]
+            if not codes.size:
+                return
+            rows = view.successor_rows(codes, length)
+            yield length, codes, counts, rows
+            codes, counts = (codes[:, None] * k + np.arange(k)).ravel(), rows.ravel()
 
     def rooted(self, word) -> "CountTable":
         """The table restricted to the words that begin with ``word``.
@@ -257,7 +276,7 @@ class CountTable:
             )
         base = self.encode(word)
         k = self.alphabet.size
-        codes, counts = self._levels[self._top]
+        codes, counts = self._deepest
         cut_codes, cut_lens = self._cut
         lo = hi = 0
         reach = cut_lens >= r

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import InsufficientDataError, InvalidInputError, InvalidParameterError
-from .errors import ResourceLimitError
+from .errors import InsufficientDataError, InvalidParameterError, ResourceLimitError
 from .streams import Alphabet, CountTable
 
 # word lengths grow logarithmically in 1/epsilon; the cap keeps the table
@@ -60,25 +59,19 @@ class DerivativeMap:
 def collect_derivatives(table: CountTable, max_len: int, min_count: int) -> DerivativeMap:
     """Derivatives of every word up to max_len seen at least min_count times.
 
-    Words whose every occurrence sits at the end of the stream have no
-    successor and are skipped.  Raises InsufficientDataError when nothing
-    survives the count threshold.
+    The words come from one ``CountTable.walk`` from the empty word, which
+    misses none.  Words whose every occurrence sits at the end of the stream
+    have no successor and are skipped.  Raises InsufficientDataError when
+    nothing survives the count floor.
     """
     if max_len < 0:
         raise InvalidParameterError("max_len must be non-negative")
-    if max_len > table.max_len:
-        raise InvalidInputError(
-            f"count table covers words up to length {table.max_len}, "
-            f"search needs {max_len}"
-        )
+    if min_count < 0:
+        raise InvalidParameterError(f"count floor must be non-negative, got {min_count}")
     entries: dict = {}
-    for length in range(max_len + 1):
-        codes, counts = table.level(length)
-        keep = counts >= min_count
-        kept_codes, kept_counts = codes[keep], counts[keep]
-        succ = table.successor_rows(kept_codes, length)
-        totals = succ.sum(axis=1)
-        for code, cnt, row, total in zip(kept_codes, kept_counts, succ, totals):
+    for length, codes, counts, rows in table.walk((), min_count, max_len):
+        totals = rows.sum(axis=1)
+        for code, cnt, row, total in zip(codes, counts, rows, totals):
             if total > 0:
                 entries[table.decode(int(code), length)] = (row / total, int(cnt))
     if not entries:

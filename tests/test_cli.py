@@ -284,6 +284,15 @@ class TestExitCodes:
         assert code == 2
         assert "insufficient data" in err
 
+    @pytest.mark.parametrize("command", ["estimate", "sync"])
+    def test_negative_count_floor_is_one(self, command, workdir, capsys):
+        code, _, err = run(
+            [command, "--input", str(workdir / "sync.raw"), "--collect-min", "-3"],
+            capsys,
+        )
+        assert code == 1
+        assert "count floor" in err
+
     def test_bad_flag_is_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--no-such-flag"])

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,17 +322,24 @@ def markov27_machine():
 
 class TestEstimatePipeline:
     @pytest.mark.parametrize(
-        "machine,search_length,collect_min",
-        [(two_state_nonsynchronizable(), 5, 1500), (three_symbol_machine(), 2, 500)],
-        ids=["binary", "three-symbol"],
+        "machine,search_length,collect_min,rooted",
+        [
+            (two_state_nonsynchronizable(), 5, 1500, False),
+            (three_symbol_machine(), 2, 500, False),
+            (three_symbol_machine(), 2, 500, True),
+        ],
+        ids=["binary", "three-symbol", "three-symbol-rooted"],
     )
-    def test_enumeration_matches_reference(self, machine, search_length, collect_min):
+    def test_enumeration_matches_reference(self, machine, search_length, collect_min, rooted):
         stream = simulate(machine, 20_000, seed=3)
         cfg = EstimatorConfig(
             epsilon=0.05, sample_size=500, max_extension_length=3, min_count=5
         )
         table = build_count_table(stream, search_length + 3)
         sync = find_sync_string(table, search_length, collect_min)
+        if rooted:
+            # only the windows behind x0 are counted
+            table = build_count_table(stream, len(sync.word) + 3, root=sync.word)
         h, words, used = reference_estimate(sync, cfg, table)
         report = estimate(stream, sync, cfg, table)
         assert words > 1
@@ -380,6 +388,26 @@ class TestEstimatePipeline:
         report = estimate(stream, sync, cfg, table)
         assert report == estimate_entropy_rate(stream, cfg)
         assert report.cluster_count > 1
+
+    def test_peak_memory_per_deepest_entry(self):
+        # no level stays cached once read: the peak is about the one level
+        # being derived, against 78 bytes per entry when every level was kept
+        stream = simulate(markov27_machine(), 1_000_000, seed=1)
+        cfg = EstimatorConfig(
+            epsilon=0.05, sample_size=200_000, max_extension_length=8, min_count=10
+        )
+        floor = collect_threshold(len(stream), cfg.min_count)
+        sync = find_sync_string(build_count_table(stream, 1), 1, floor)
+        table = build_count_table(stream, len(sync.word) + 8, root=sync.word)
+        entries = table.level(table.max_len + 1)[0].size
+        tracemalloc.start()
+        try:
+            estimate(stream, sync, cfg, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert entries > 10_000
+        assert peak / entries <= 48
 
     @pytest.mark.parametrize(
         "machine,n,search,ext_max,split",

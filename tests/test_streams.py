@@ -133,6 +133,13 @@ class TestSymbolStream:
         s = stream_from("0001")
         assert list(s.prefix(2).data) == [0, 0]
 
+    def test_negative_prefix_rejected(self):
+        s = stream_from("00010")
+        for n in (-1, -2, -5, -6):
+            with pytest.raises(InvalidInputError, match="prefix length"):
+                s.prefix(n)
+        assert len(s.prefix(0)) == 0 and len(s.prefix(9)) == 5
+
     @pytest.mark.parametrize("k", [3, 256])
     def test_wide_values_rejected_before_narrowing(self, k):
         # 256 and 2**32 + 1 would wrap to the valid symbols 0 and 1 in a byte

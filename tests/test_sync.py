@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syncrate import (
@@ -28,6 +28,7 @@ from syncrate.sync import (
     hull_vertex_words,
     select_sync_string,
 )
+from test_streams import tables_to_build
 
 ABC = Alphabet(("a", "b", "c"))
 
@@ -104,6 +105,49 @@ class TestCollectDerivatives:
         for d, _count in collect_derivatives(t, 2, min_count=1).entries.values():
             assert d.min() >= 0.0
             assert abs(d.sum() - 1.0) <= 1e-12
+
+
+def per_level_entries(t, max_len, min_count):
+    # reference: filter each stored level by count, then read its successors
+    entries = {}
+    for length in range(max_len + 1):
+        codes, counts = t.level(length)
+        keep = counts >= min_count
+        rows = t.successor_rows(codes[keep], length)
+        for code, cnt, row in zip(codes[keep], counts[keep], rows):
+            if row.sum() > 0:
+                entries[t.decode(int(code), length)] = (row / row.sum(), int(cnt))
+    if not entries:
+        raise InsufficientDataError("nothing survives the floor")
+    return entries
+
+
+class TestWalkMatchesLevelFilters:
+    @given(tables_to_build(), st.sampled_from([0, 1, 2, 5, "n + 1"]))
+    @example((2, [], 3), 0)
+    @example((3, [0, 1, 2, 0, 1], 0), 1)
+    @example((27, [0, 0, 0, 0, 26], 2), 2)
+    @settings(max_examples=300, deadline=None)
+    def test_entries_match_per_level_reference(self, case, floor):
+        k, seq, max_len = case
+        floor = len(seq) + 1 if floor == "n + 1" else floor
+        t = build_count_table(SymbolStream(seq, Alphabet(tuple(map(str, range(k))))), max_len)
+        try:
+            want = per_level_entries(t, max_len, floor)
+        except InsufficientDataError:
+            with pytest.raises(InsufficientDataError):
+                collect_derivatives(t, max_len, floor)
+            return
+        got = collect_derivatives(t, max_len, floor).entries
+        assert list(got) == list(want)
+        for word, (row, cnt) in want.items():
+            assert got[word][1] == cnt
+            assert got[word][0].tobytes() == row.tobytes()
+
+    def test_negative_floor_rejected(self):
+        t = build_count_table(SymbolStream.from_text("0001", BINARY), 2)
+        with pytest.raises(InvalidParameterError, match="count floor"):
+            collect_derivatives(t, 2, -3)
 
 
 class TestHullVertexWords:
