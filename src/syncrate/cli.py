@@ -90,14 +90,6 @@ def _emit(lines: list[str], out_path: str | None):
         sys.stdout.write(text)
 
 
-def _sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _read_alphabet_map(path: str) -> Alphabet:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -123,18 +115,30 @@ def _number_list(text: str, flag: str) -> list[float]:
     return values
 
 
+def _whole_list(text: str, flag: str) -> list[int]:
+    """Like ``_number_list``, refusing any value with a fractional part."""
+    values = _number_list(text, flag)
+    if not all(v.is_integer() for v in values):
+        raise InvalidParameterError(f"{flag} needs whole numbers, got {text!r}")
+    return [int(v) for v in values]
+
+
+def _read_input(path: str) -> np.ndarray:
+    """An input file's bytes, as one read-only uint8 array."""
+    try:
+        raw = np.fromfile(path, dtype=np.uint8)
+    except FileNotFoundError:
+        raise InvalidInputError(f"input file not found: {path}") from None
+    raw.setflags(write=False)  # handed to the stream as is, not copied
+    return raw
+
+
 def _load_stream(args) -> tuple[SymbolStream, str]:
     """Input file to stream, plus the raw file's digest."""
-    path = args.input
-    try:
-        digest = _sha256_file(path)
-    except FileNotFoundError:
-        raise InvalidInputError(f"input file not found: {path}")
-    if getattr(args, "text", False):
-        with open(path, "rb") as fh:
-            return normalize_text(fh.read()), digest
-    raw = np.fromfile(path, dtype=np.uint8)
-    raw.setflags(write=False)  # handed to the stream as is, not copied
+    raw = _read_input(args.input)
+    digest = hashlib.sha256(raw).hexdigest()
+    if args.text:
+        return normalize_text(raw.tobytes()), digest
     if args.alphabet_map:
         alphabet = _read_alphabet_map(args.alphabet_map)
     else:
@@ -144,13 +148,34 @@ def _load_stream(args) -> tuple[SymbolStream, str]:
     return SymbolStream(raw, alphabet), digest
 
 
-def _estimator_config(args) -> EstimatorConfig:
-    return EstimatorConfig(
+def _estimator_config(args, k: int) -> tuple[EstimatorConfig, dict]:
+    """The run's estimator config, and its resolved record for the manifest."""
+    cfg = EstimatorConfig(
         epsilon=args.epsilon,
         alpha=args.alpha,
         sample_size=args.samples,
         max_extension_length=args.ext_max,
         min_count=args.nmin,
+    )
+    record = {
+        "epsilon": cfg.epsilon,
+        "alpha": cfg.alpha,
+        "samples": cfg.resolved_sample_size(k),
+        "ext_max": cfg.resolved_extension_length(k),
+        "nmin": cfg.min_count,
+        "search_length": args.search_length,
+        "collect_min": args.collect_min,
+        "text": args.text,
+    }
+    return cfg, record
+
+
+def _estimate(stream: SymbolStream, cfg: EstimatorConfig, args):
+    return estimate_entropy_rate(
+        stream,
+        cfg,
+        collect_min_count=args.collect_min,
+        search_length=args.search_length,
     )
 
 
@@ -160,27 +185,12 @@ def _word_label(alphabet: Alphabet, word, human: bool) -> str:
     return alphabet.word_label(word)
 
 
-def _resolved_estimate_config(args, k: int) -> dict:
-    cfg = _estimator_config(args)
-    return {
-        "epsilon": cfg.epsilon,
-        "alpha": cfg.alpha,
-        "samples": cfg.resolved_sample_size(k),
-        "ext_max": cfg.resolved_extension_length(k),
-        "nmin": cfg.min_count,
-        "method": getattr(args, "method", "paper"),
-        "search_length": args.search_length,
-        "collect_min": args.collect_min,
-        "text": bool(args.text),
-    }
-
-
 def cmd_estimate(args) -> int:
     stream, input_digest = _load_stream(args)
-    k = stream.alphabet.size
+    cfg, record = _estimator_config(args, stream.alphabet.size)
     manifest = RunManifest(
         subcommand="estimate",
-        config=_resolved_estimate_config(args, k),
+        config=dict(record, method=args.method),
         input_digest=input_digest,
     )
     columns = [
@@ -195,21 +205,13 @@ def cmd_estimate(args) -> int:
     ]
     if args.method == "lz78":
         h = lz78_entropy_estimate(stream)
-        if args.tsv:
-            row = [h, None, None, None, None, None, None, len(stream)]
-            _emit(_tsv_lines(columns, [row], manifest), args.out)
-        else:
-            print(f"entropy rate   {h:.6f} bits/symbol (lz78 baseline)")
-            print(f"stream         {len(stream)} symbols")
-        return 0
-    cfg = _estimator_config(args)
-    report = estimate_entropy_rate(
-        stream,
-        cfg,
-        collect_min_count=args.collect_min,
-        search_length=args.search_length,
-    )
-    if args.tsv:
+        row = [h, None, None, None, None, None, None, len(stream)]
+        human = [
+            f"entropy rate   {h:.6f} bits/symbol (lz78 baseline)",
+            f"stream         {len(stream)} symbols",
+        ]
+    else:
+        report = _estimate(stream, cfg, args)
         row = [
             report.entropy_rate,
             report.bound,
@@ -220,20 +222,19 @@ def cmd_estimate(args) -> int:
             report.samples_used,
             report.stream_length,
         ]
-        _emit(_tsv_lines(columns, [row], manifest), args.out)
-    else:
         flag = " (vacuous)" if report.vacuous else ""
-        print(f"entropy rate   {report.entropy_rate:.6f} bits/symbol")
-        print(f"bound          {report.bound:.6f}{flag} at alpha {report.alpha:g}")
-        print(f"tolerance      {report.epsilon_star:.6f}")
         word = _word_label(stream.alphabet, report.sync_word, human=True)
-        print(f"sync word      {word} (frequency {report.sync_frequency:.6f})")
-        print(
+        human = [
+            f"entropy rate   {report.entropy_rate:.6f} bits/symbol",
+            f"bound          {report.bound:.6f}{flag} at alpha {report.alpha:g}",
+            f"tolerance      {report.epsilon_star:.6f}",
+            f"sync word      {word} (frequency {report.sync_frequency:.6f})",
             f"samples        {report.samples_used} used, "
-            f"{report.samples_discarded} discarded"
-        )
-        print(f"words          {report.cluster_count}")
-        print(f"stream         {report.stream_length} symbols")
+            f"{report.samples_discarded} discarded",
+            f"words          {report.cluster_count}",
+            f"stream         {report.stream_length} symbols",
+        ]
+    _emit(_tsv_lines(columns, [row], manifest) if args.tsv else human, args.out)
     return 0
 
 
@@ -254,38 +255,40 @@ def cmd_sync(args) -> int:
     derivs = collect_derivatives(table, length, min_count)
     vertices = hull_vertex_words(derivs)
     result = select_sync_string(derivs, vertices)
+    word = _word_label(stream.alphabet, result.word, human=True)
+    summary = [
+        f"sync word      {word}",
+        f"frequency      {result.frequency:.6f}",
+        f"hull vertices  {len(vertices)}",
+    ]
+    if not args.tsv:
+        _emit(summary, args.out)
+        return 0
     manifest = RunManifest(
         subcommand="sync",
         config={
             "epsilon": args.epsilon,
             "search_length": length,
             "collect_min": min_count,
-            "text": bool(args.text),
+            "text": args.text,
         },
         input_digest=input_digest,
     )
-    if args.tsv:
-        columns = ["string", "count"] + [f"p_{c}" for c in stream.alphabet.labels]
-        rows = []
-        for word, (dist, cnt) in derivs.entries.items():
-            rows.append(
-                [_word_label(stream.alphabet, word, human=False), cnt]
-                + [float(v) for v in dist]
-            )
-        _emit(_tsv_lines(columns, rows, manifest), args.out)
-        summary = sys.stderr
-    else:
-        summary = sys.stdout
-    word = _word_label(stream.alphabet, result.word, human=True)
-    print(f"sync word      {word}", file=summary)
-    print(f"frequency      {result.frequency:.6f}", file=summary)
-    print(f"hull vertices  {len(vertices)}", file=summary)
+    columns = ["string", "count"] + [f"p_{c}" for c in stream.alphabet.labels]
+    rows = []
+    for word, (dist, cnt) in derivs.entries.items():
+        rows.append(
+            [_word_label(stream.alphabet, word, human=False), cnt]
+            + [float(v) for v in dist]
+        )
+    _emit(_tsv_lines(columns, rows, manifest), args.out)
+    print("\n".join(summary), file=sys.stderr)
     return 0
 
 
 def cmd_bounds(args) -> int:
     alphas = _number_list(args.alpha_list, "--alpha")
-    lengths = [int(n) for n in _number_list(args.lengths, "--lengths")]
+    lengths = _whole_list(args.lengths, "--lengths")
     k = args.alphabet_size
     samples = args.samples if args.samples is not None else default_sample_size(k)
     manifest = RunManifest(
@@ -310,27 +313,18 @@ def cmd_bounds(args) -> int:
 
 def cmd_benchmark(args) -> int:
     stream, input_digest = _load_stream(args)
-    marks = [int(n) for n in _number_list(args.checkpoints, "--checkpoints")]
-    k = stream.alphabet.size
+    marks = _whole_list(args.checkpoints, "--checkpoints")
+    cfg, record = _estimator_config(args, stream.alphabet.size)
     manifest = RunManifest(
         subcommand="benchmark",
-        config=dict(
-            _resolved_estimate_config(args, k), checkpoints=marks, method="both"
-        ),
+        config=dict(record, checkpoints=marks, method="both"),
         input_digest=input_digest,
     )
-    cfg = _estimator_config(args)
     lz_rows = dict(lz78_curve(stream, marks))
     rows = []
     for n in marks:
-        prefix = stream.prefix(n)
         try:
-            report = estimate_entropy_rate(
-                prefix,
-                cfg,
-                collect_min_count=args.collect_min,
-                search_length=args.search_length,
-            )
+            report = _estimate(stream.prefix(n), cfg, args)
             h_main, e_main = report.entropy_rate, report.bound
         except EstimationError:
             h_main, e_main = None, None
@@ -355,12 +349,7 @@ def cmd_generate(args) -> int:
     else:
         if not args.input:
             raise InvalidParameterError("--source text needs --input")
-        try:
-            with open(args.input, "rb") as fh:
-                raw = fh.read()
-        except FileNotFoundError:
-            raise InvalidInputError(f"input file not found: {args.input}")
-        stream = normalize_text(raw)
+        stream = normalize_text(_read_input(args.input).tobytes())
     stream.data.tofile(args.out)
     with open(args.out + ".alphabet", "w", encoding="utf-8") as fh:
         fh.write("\n".join(stream.alphabet.labels) + "\n")
@@ -376,18 +365,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_input_flags(p):
+def _add_stream_flags(p, estimator: bool):
+    """Input and Phase I flags, plus the estimator's own when it runs."""
     p.add_argument("--input", required=True, help="raw symbol file, one byte per symbol")
     p.add_argument("--alphabet-map", default=None, help="sidecar file, one label per line")
     p.add_argument("--text", action="store_true", help="treat input as text and fold to 27 symbols")
-
-
-def _add_estimator_flags(p):
     p.add_argument("--epsilon", type=float, default=0.05, help="derivative tolerance")
-    p.add_argument("--alpha", type=float, default=0.95, help="confidence level")
-    p.add_argument("--samples", type=int, default=None, help="extension count N the bound's sampling term assumes")
-    p.add_argument("--ext-max", type=int, default=None, help="longest extension")
-    p.add_argument("--nmin", type=int, default=EstimatorConfig.min_count, help="extension count floor")
+    if estimator:
+        p.add_argument("--alpha", type=float, default=0.95, help="confidence level")
+        p.add_argument("--samples", type=int, default=None, help="extension count N the bound's sampling term assumes")
+        p.add_argument("--ext-max", type=int, default=None, help="longest extension")
+        p.add_argument("--nmin", type=int, default=EstimatorConfig.min_count, help="extension count floor")
     p.add_argument("--search-length", type=int, default=None, help="sync search depth")
     p.add_argument("--collect-min", type=int, default=None, help="sync phase count floor")
 
@@ -398,18 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("estimate", help="entropy rate of a symbol stream", parents=[])
-    _add_input_flags(p)
-    _add_estimator_flags(p)
+    _add_stream_flags(p, estimator=True)
     p.add_argument("--method", choices=("paper", "lz78"), default="paper")
     p.add_argument("--tsv", action="store_true", help="machine-readable single line")
     p.add_argument("--out", default=None, help="write output here instead of stdout")
     p.set_defaults(run=cmd_estimate)
 
     p = sub.add_parser("sync", help="locate the synchronizing word")
-    _add_input_flags(p)
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--search-length", type=int, default=None)
-    p.add_argument("--collect-min", type=int, default=None)
+    _add_stream_flags(p, estimator=False)
     p.add_argument("--tsv", action="store_true", help="dump the derivative table as TSV")
     p.add_argument("--out", default=None)
     p.set_defaults(run=cmd_sync)
@@ -424,8 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_bounds)
 
     p = sub.add_parser("benchmark", help="both estimators over stream prefixes")
-    _add_input_flags(p)
-    _add_estimator_flags(p)
+    _add_stream_flags(p, estimator=True)
     p.add_argument("--checkpoints", required=True, help="comma-separated prefix lengths")
     p.add_argument("--out", default=None)
     p.set_defaults(run=cmd_benchmark)

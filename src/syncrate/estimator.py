@@ -105,10 +105,10 @@ class EstimateReport:
     """Estimate plus everything needed to audit it.
 
     ``samples_used`` is max(1, round(N * W)) for the configured sample size
-    N and the total weight W of the extensions whose count cleared
-    ``min_count``: the expected number of useful draws among N random
-    extensions.  ``samples_discarded`` is N minus that, and
-    ``cluster_count`` the number of words x0·w that cleared ``min_count``,
+    N and the total weight W of the contributing extensions, the x0·w
+    followed by a symbol more than ``min_count`` times: the expected number
+    of useful draws among N random extensions.  ``samples_discarded`` is N
+    minus that, and ``cluster_count`` the number of contributing words x0·w,
     each a term of the weighted mean.
     """
 
@@ -223,8 +223,9 @@ def estimate(
     """Weighted mean of the derivative entropies behind the synchronizing word.
 
     Every extension w of length l <= ext_max counts at its exact weight
-    k^-l / (ext_max + 1); only words x0·w seen more than ``min_count`` times
-    contribute.  One ``CountTable.walk`` from x0, through ``table.rooted(x0)``,
+    k^-l / (ext_max + 1); only words x0·w followed by a symbol more than
+    ``min_count`` times contribute (an occurrence that ends the stream has no
+    follower).  One ``CountTable.walk`` from x0, through ``table.rooted(x0)``,
     gives each length's words and successor rows and misses no word; each
     length's row entropies are summed in one call.
     """
@@ -304,14 +305,14 @@ def estimate_entropy_rate(
     serves both phases.  When they have more, most deep windows are distinct
     and Phase II reads only those behind x0, so Phase I gets a table of depth
     search + 1 and Phase II a table rooted at x0 (``build_count_table`` with
-    ``root``).  On a 4.5e6-symbol order-1 Markov stream over 27 symbols,
-    where x0 starts 7% of the windows, that cut the counting from about
-    0.22 s to 0.04 s (shallow 0.014 s, rooted 0.027 s).  On 1e6 binary
-    symbols at the defaults (2^14 codes), where x0 = 00000 starts 37% of
-    the windows, the split measured 25-35% slower, so that stream keeps one
-    table.  The split tables are shallower than the
-    single one, so a stream whose single table would exceed the int64 code
-    range or the entry cap can still get an estimate.
+    ``root``).  Counting and both phases, on the benchmark workloads (seeds
+    1-3, median of 5, 2 vCPUs): on 4.5e6 order-1 Markov symbols over 27,
+    where x0 starts 7% of the windows, the split took 0.09-0.11 s against
+    0.30-0.32 s for one table; on 1e7 quadratic-map symbols with ext_max 5
+    (2^11 deep codes), one table took 0.040-0.042 s against 0.069-0.075 s.
+    The split tables are shallower than the single one, so a stream whose
+    single table would exceed the int64 code range or the entry cap can
+    still get an estimate.
     """
     k = stream.alphabet.size
     if search_length is None:

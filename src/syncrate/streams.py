@@ -245,14 +245,19 @@ class CountTable:
         the words root·w seen at least max(floor, 1) times, in code order,
         their counts and successor rows.  The next length's words are the row
         entries that clear the floor; no word outnumbers its prefix, so none
-        is missed, and each level is read once, as successors."""
+        is missed, and each level is read once, as successors.  The root's
+        count reads no level: it is the view's deepest counts plus its cut
+        windows, since every stored word of the view begins with the root."""
         if depth > self.max_len:
             raise InvalidInputError(
                 f"count table covers words up to length {self.max_len}, walk needs {depth}"
             )
         view = self.rooted(root)
+        if len(root) < self._root_len:
+            return  # shorter than the table's own root, so counted zero
         k = self.alphabet.size
-        codes, counts = view.level(len(root))
+        codes = np.array([view.encode(root)], dtype=np.int64)
+        counts = np.array([view._deepest[1].sum() + view._cut[1].size], dtype=np.int64)
         for length in range(len(root), depth + 1):
             keep = counts >= max(floor, 1)
             codes, counts = codes[keep], counts[keep]

@@ -6,9 +6,11 @@ the module entry point works from a cold start.
 
 import argparse
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +152,22 @@ class TestSync:
             assert float(fields[2]) + float(fields[3]) == pytest.approx(1.0)
         # summary still reaches the terminal, via stderr
         assert "sync word" in err
+
+
+# --out takes the human summary too, exactly as stdout would show it
+@pytest.mark.parametrize(
+    "argv",
+    [["estimate"] + ESTIMATE_FLAGS, ["sync", "--search-length", "1", "--collect-min", "200"]],
+)
+def test_out_takes_the_human_summary(argv, workdir, capsys):
+    argv = argv + ["--input", str(workdir / "sync.raw")]
+    code, printed, _ = run(argv, capsys)
+    assert code == 0 and printed
+    path = workdir / f"{argv[0]}-summary.txt"
+    code, out, err = run(argv + ["--out", str(path)], capsys)
+    assert code == 0
+    assert out == err == ""
+    assert path.read_text(encoding="utf-8") == printed
 
 
 class TestBounds:
@@ -344,6 +362,21 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--lengths", ["bounds", "--alphabet-size", "2", "--lengths", "1.7,2.5e3"]),
+            ("--checkpoints", ["benchmark", "--input", "{workdir}/sync.raw",
+                               "--checkpoints", "1000.9,30000"]),
+        ],
+    )
+    def test_fractional_length_is_one(self, flag, argv, workdir, capsys):
+        argv = [a.format(workdir=workdir) for a in argv]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"syncrate: {flag} ")
+
 EDGE_STREAMS = {
     "empty": np.zeros(0, dtype=np.uint8),
     "constant": np.zeros(5_000, dtype=np.uint8),
@@ -467,3 +500,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("syncrate ")
+
+
+def readme_commands():
+    """The ``syncrate ...`` lines of the README's "Command line" sh block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("syncrate ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "book.txt").write_text("It was the best of times, it was the worst of times. " * 50)
+    commands = readme_commands()
+    assert len(commands) == 8
+    for argv in commands:
+        code, _, err = run(argv, capsys)
+        assert code == 0, (argv, err)

@@ -367,6 +367,37 @@ class TestCountTable:
                 built.successor_rows(codes, length), view.successor_rows(codes, length)
             )
 
+    @given(rooted_tables())
+    @example((2, [], 3, ()))
+    @example((2, [], 3, (1,)))
+    # roots that end the stream, one of them seen nowhere else
+    @example((3, [0, 0, 0, 0, 2], 3, (0, 2)))
+    @example((2, [0, 1, 1, 0, 1, 1, 0], 3, (1, 1, 0)))
+    # roots longer than the stream, and one a full window long
+    @example((3, [0, 1], 4, (0, 1, 2)))
+    @example((2, [1], 3, (1, 1)))
+    @example((2, [0, 1, 1, 0, 1, 1, 0], 2, (1, 1, 0)))
+    @example((2, LONG_BINARY, 6, (1,)))
+    @settings(max_examples=300, deadline=None)
+    def test_walk_starts_from_the_root_count(self, case):
+        k, seq, max_len, root = case
+        s = SymbolStream(seq, Alphabet(tuple(str(i) for i in range(k))))
+        want = naive_count(seq, root)
+        for table in (build_count_table(s, max_len), build_count_table(s, max_len, root=root)):
+            steps = list(table.walk(root, 0, max_len))
+            if want == 0 or len(root) > max_len:
+                assert steps == []
+                continue
+            length, codes, counts, _rows = steps[0]
+            assert length == len(root)
+            assert codes.dtype == counts.dtype == np.int64
+            assert codes.tolist() == [table.encode(root)]
+            assert counts.tolist() == [want]
+        if root:
+            # a word shorter than the table's root counts zero there
+            rooted = build_count_table(s, max_len, root=root)
+            assert list(rooted.walk(root[:-1], 0, max_len)) == []
+
     def test_rooted_build_refusals(self):
         s = stream_from("010101")
         with pytest.raises(InvalidInputError):
