@@ -326,7 +326,7 @@ def cmd_benchmark(args) -> int:
         try:
             report = _estimate(stream.prefix(n), cfg, args)
             h_main, e_main = report.entropy_rate, report.bound
-        except EstimationError:
+        except InsufficientDataError:  # a prefix too short: blank columns
             h_main, e_main = None, None
         rows.append([n, h_main, e_main, lz_rows[n]])
     _emit(_tsv_lines(["length", "h_main", "E_main", "h_lz"], rows, manifest), args.out)

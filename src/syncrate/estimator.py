@@ -223,11 +223,11 @@ def estimate(
     """Weighted mean of the derivative entropies behind the synchronizing word.
 
     Every extension w of length l <= ext_max counts at its exact weight
-    k^-l / (ext_max + 1); only words x0·w followed by a symbol more than
-    ``min_count`` times contribute (an occurrence that ends the stream has no
-    follower).  One ``CountTable.walk`` from x0, through ``table.rooted(x0)``,
-    gives each length's words and successor rows and misses no word; each
-    length's row entropies are summed in one call.
+    k^-l / (ext_max + 1).  One ``CountTable.walk`` from x0 at floor
+    ``min_count + 1`` gives each length's contributing words x0·w, those
+    followed by a symbol more than ``min_count`` times, with their successor
+    rows, and misses no word; each length's row entropies are summed in one
+    call.
     """
     k = stream.alphabet.size
     ext_max = cfg.resolved_extension_length(k)
@@ -235,10 +235,7 @@ def estimate(
     words = 0
     walk = table.walk(sync.word, cfg.min_count + 1, len(sync.word) + ext_max)
     for length, _codes, _counts, succ in walk:
-        # a word at the stream end has one successor fewer than occurrences
-        totals = succ.sum(axis=1, keepdims=True)
-        keep = totals[:, 0] > cfg.min_count
-        dists = succ[keep] / totals[keep]
+        dists = succ / succ.sum(axis=1, keepdims=True)
         weight = 1.0 / ((ext_max + 1) * k ** (length - len(sync.word)))
         weighted_h += weight * entropy(dists).sum()
         mass += weight * len(dists)
@@ -275,7 +272,8 @@ def estimate(
 
 
 def collect_threshold(stream_length: int, min_count: int) -> int:
-    """Count floor for the synchronization phase.
+    """Count floor for the synchronization phase: a word's derivative enters
+    the search when a symbol followed the word at least this many times.
 
     Scales as the stream length to the two-thirds power: hull vertices are
     extreme points, and keeping only words whose derivative noise shrinks

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, InvalidParameterError, ResourceLimitError
 
 # Words are packed into codes, digit i weighted by k**(L-1-i).  The build
 # encodes and sorts windows in the narrowest of these dtypes that holds
@@ -112,10 +112,6 @@ class SymbolStream:
             arr.setflags(write=False)
         self.data = arr
         self.alphabet = alphabet
-
-    @classmethod
-    def from_text(cls, text, alphabet: Alphabet) -> "SymbolStream":
-        return cls([alphabet.index(c) for c in text], alphabet)
 
     def prefix(self, n: int) -> "SymbolStream":
         if n < 0:
@@ -242,16 +238,20 @@ class CountTable:
 
     def walk(self, root, floor: int, depth: int):
         """Yield (length, codes, counts, rows) for length = len(root)..depth:
-        the words root·w seen at least max(floor, 1) times, in code order,
-        their counts and successor rows.  The next length's words are the row
-        entries that clear the floor; no word outnumbers its prefix, so none
-        is missed, and each level is read once, as successors.  The root's
-        count reads no level: it is the view's deepest counts plus its cut
-        windows, since every stored word of the view begins with the root."""
+        the words root·w followed by a symbol at least max(floor, 1) times,
+        in code order, with their counts and successor rows.  This one floor
+        serves both phases; an occurrence that ends the stream has no
+        successor.  Counts pre-filter, as no word has more successors than
+        occurrences.  The next length's words are the row entries, so each
+        level is read once; no word outnumbers its prefix, so none is missed.
+        The root's count is its view's deepest counts plus its cut windows."""
+        if floor < 0:
+            raise InvalidParameterError(f"count floor must be non-negative, got {floor}")
         if depth > self.max_len:
             raise InvalidInputError(
                 f"count table covers words up to length {self.max_len}, walk needs {depth}"
             )
+        floor = max(floor, 1)
         view = self.rooted(root)
         if len(root) < self._root_len:
             return  # shorter than the table's own root, so counted zero
@@ -259,11 +259,14 @@ class CountTable:
         codes = np.array([view.encode(root)], dtype=np.int64)
         counts = np.array([view._deepest[1].sum() + view._cut[1].size], dtype=np.int64)
         for length in range(len(root), depth + 1):
-            keep = counts >= max(floor, 1)
+            keep = counts >= floor
             codes, counts = codes[keep], counts[keep]
+            if codes.size:
+                rows = view.successor_rows(codes, length)
+                keep = rows.sum(axis=1) >= floor
+                codes, counts, rows = codes[keep], counts[keep], rows[keep]
             if not codes.size:
                 return
-            rows = view.successor_rows(codes, length)
             yield length, codes, counts, rows
             codes, counts = (codes[:, None] * k + np.arange(k)).ravel(), rows.ravel()
 

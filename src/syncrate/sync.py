@@ -25,14 +25,14 @@ MAX_HULL_POINTS = 256
 MAX_HULL_PRODUCT = 256 * 27  # distinct points times alphabet size
 
 
-def candidate_length(epsilon: float, alphabet_size: int, cap: int = MAX_CANDIDATE_LENGTH) -> int:
+def candidate_length(epsilon: float, alphabet_size: int) -> int:
     """Longest word length the search needs to examine for tolerance epsilon."""
     if not 0.0 < epsilon < 1.0:
         raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
     if alphabet_size < 2:
         raise InvalidParameterError("alphabet must have at least two symbols")
     length = math.ceil(math.log(1.0 / epsilon) / math.log(alphabet_size))
-    return min(max(length, 1), cap)
+    return min(max(length, 1), MAX_CANDIDATE_LENGTH)
 
 
 class DerivativeMap:
@@ -57,26 +57,20 @@ class DerivativeMap:
 
 
 def collect_derivatives(table: CountTable, max_len: int, min_count: int) -> DerivativeMap:
-    """Derivatives of every word up to max_len seen at least min_count times.
-
-    The words come from one ``CountTable.walk`` from the empty word, which
-    misses none.  Words whose every occurrence sits at the end of the stream
-    have no successor and are skipped.  Raises InsufficientDataError when
-    nothing survives the count floor.
+    """Derivatives of every word up to max_len that ``CountTable.walk`` from
+    the empty word keeps at floor min_count.  Raises InsufficientDataError
+    when nothing survives the floor.
     """
     if max_len < 0:
         raise InvalidParameterError("max_len must be non-negative")
-    if min_count < 0:
-        raise InvalidParameterError(f"count floor must be non-negative, got {min_count}")
     entries: dict = {}
     for length, codes, counts, rows in table.walk((), min_count, max_len):
-        totals = rows.sum(axis=1)
-        for code, cnt, row, total in zip(codes, counts, rows, totals):
-            if total > 0:
-                entries[table.decode(int(code), length)] = (row / total, int(cnt))
+        dists = rows / rows.sum(axis=1, keepdims=True)
+        for code, cnt, dist in zip(codes, counts, dists):
+            entries[table.decode(int(code), length)] = (dist, int(cnt))
     if not entries:
         raise InsufficientDataError(
-            f"no word of length <= {max_len} occurs {min_count} times; "
+            f"no word of length <= {max_len} is followed by a symbol {min_count} times; "
             "lower the count threshold or provide a longer stream"
         )
     return DerivativeMap(table.alphabet, table.stream_length, entries)

@@ -302,13 +302,15 @@ class TestExitCodes:
         assert code == 2
         assert "insufficient data" in err
 
-    @pytest.mark.parametrize("command", ["estimate", "sync"])
+    @pytest.mark.parametrize("command", ["estimate", "sync", "benchmark"])
     def test_negative_count_floor_is_one(self, command, workdir, capsys):
-        code, _, err = run(
-            [command, "--input", str(workdir / "sync.raw"), "--collect-min", "-3"],
+        extra = ["--checkpoints", "1000,30000"] if command == "benchmark" else []
+        code, out, err = run(
+            [command, "--input", str(workdir / "sync.raw"), "--collect-min", "-3"] + extra,
             capsys,
         )
         assert code == 1
+        assert out == ""
         assert "count floor" in err
 
     def test_bad_flag_is_one(self, capsys):
@@ -331,6 +333,43 @@ class TestExitCodes:
             capsys,
         )
         assert code == 1
+
+    def test_text_without_input(self, workdir, capsys):
+        code, _, err = run(
+            ["generate", "--source", "text", "--out", str(workdir / "x.raw")],
+            capsys,
+        )
+        assert code == 1
+        assert "--source text needs --input" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("automaton 2 0 1\n", "line 1: header"),
+            ("# a machine\n\npfsa 2 0\n", "line 3: header"),
+            ("pfsa two 0 1\n", "line 1: state count 'two' is not an integer"),
+            ("pfsa 0 0 1\n", "line 1: state count must be positive"),
+            ("pfsa 1 0 1\n0 0 0\n", "line 2: arc must read"),
+            ("pfsa 1 0 1\n0 0 0 0.5 x\n", "line 2: arc must read"),
+            ("pfsa 1 0 1\n0 0 zero 1.0\n", "line 2: state indices must be integers"),
+            ("pfsa 2 0 1\n0 0 2 1.0\n", "line 2: state index out of range"),
+            ("pfsa 2 0 1\n-1 0 0 1.0\n", "line 2: state index out of range"),
+            ("pfsa 1 0 1\n0 0 0 half\n", "line 2: probability 'half' is not a number"),
+            ("", "line 1: empty machine description"),
+            ("# only a comment\n\n", "line 1: empty machine description"),
+        ],
+    )
+    def test_bad_model_names_its_line(self, text, message, tmp_path, capsys):
+        model = tmp_path / "bad.pfsa"
+        model.write_text(text)
+        code, _, err = run(
+            ["generate", "--source", "pfsa", "--model", str(model), "--n", "10",
+             "--out", str(tmp_path / "x.raw")],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("syncrate: ") and message in err
+        assert "Traceback" not in err
 
     def test_undecodable_model_is_one(self, tmp_path, capsys):
         model = tmp_path / "bad.pfsa"
@@ -442,6 +481,8 @@ class TestEdgeInputs:
             (["sync"], b"a\nb\n"),  # fewer labels than the stream's symbols
             (["estimate"], b"a\nb\na\n"),  # duplicate labels
             (["estimate"], b"a\n\xff\xfe\nc\n"),  # not UTF-8
+            (["sync"], b"a\n\nc\n"),  # an empty label line
+            (["estimate"], "\n".join(map(str, range(257))).encode()),  # 257 labels
         ],
     )
     def test_bad_alphabet_map_is_one(self, argv, labels, tmp_path, capsys):

@@ -28,7 +28,7 @@ def naive_count(seq, word):
 
 
 def stream_from(text):
-    return SymbolStream.from_text(text, BINARY)
+    return SymbolStream(BINARY.encode(text), BINARY)
 
 
 def per_level_unique(data, k, max_len):
@@ -383,9 +383,11 @@ class TestCountTable:
         k, seq, max_len, root = case
         s = SymbolStream(seq, Alphabet(tuple(str(i) for i in range(k))))
         want = naive_count(seq, root)
+        # a root whose every occurrence ends the stream has no successor
+        followed = sum(naive_count(seq, root + (c,)) for c in range(k))
         for table in (build_count_table(s, max_len), build_count_table(s, max_len, root=root)):
             steps = list(table.walk(root, 0, max_len))
-            if want == 0 or len(root) > max_len:
+            if followed == 0 or len(root) > max_len:
                 assert steps == []
                 continue
             length, codes, counts, _rows = steps[0]

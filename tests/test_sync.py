@@ -46,7 +46,6 @@ class TestCandidateLength:
 
     def test_hard_cap(self):
         assert candidate_length(1e-6, 2) == 12
-        assert candidate_length(1e-6, 2, cap=20) == 20
 
     def test_bad_epsilon(self):
         for eps in (0.0, 1.0, -0.1, 1.5):
@@ -60,7 +59,7 @@ class TestCandidateLength:
 
 class TestCollectDerivatives:
     def test_hand_stream(self):
-        s = SymbolStream.from_text("0001", BINARY)
+        s = SymbolStream(BINARY.encode("0001"), BINARY)
         t = build_count_table(s, 2)
         derivs = collect_derivatives(t, 2, min_count=1)
         # words whose occurrences all touch the stream end have no derivative
@@ -73,19 +72,27 @@ class TestCollectDerivatives:
         assert c0 == 3
 
     def test_threshold_filters(self):
-        s = SymbolStream.from_text("0001", BINARY)
+        s = SymbolStream(BINARY.encode("0001"), BINARY)
         t = build_count_table(s, 2)
         derivs = collect_derivatives(t, 2, min_count=3)
         assert list(derivs.entries) == [(), (0,)]
 
+    def test_stream_end_occurrence_has_no_successor(self):
+        # "00" occurs twice in 00100, but only once followed by a symbol
+        s = SymbolStream(BINARY.encode("00100"), BINARY)
+        t = build_count_table(s, 2)
+        derivs = collect_derivatives(t, 2, min_count=2)
+        assert (0, 0) not in derivs.entries
+        assert list(derivs.entries) == [(), (0,)]
+
     def test_stream_shorter_than_threshold(self):
-        s = SymbolStream.from_text("00100", BINARY)
+        s = SymbolStream(BINARY.encode("00100"), BINARY)
         t = build_count_table(s, 1)
         with pytest.raises(InsufficientDataError):
             collect_derivatives(t, 1, min_count=10)
 
     def test_table_coverage_checked(self):
-        s = SymbolStream.from_text("0101010101", BINARY)
+        s = SymbolStream(BINARY.encode("0101010101"), BINARY)
         t = build_count_table(s, 1)
         with pytest.raises(InvalidInputError, match="covers"):
             collect_derivatives(t, 2, min_count=1)
@@ -108,14 +115,14 @@ class TestCollectDerivatives:
 
 
 def per_level_entries(t, max_len, min_count):
-    # reference: filter each stored level by count, then read its successors
+    # reference: read every stored word's successors and keep the rows that
+    # clear the floor
     entries = {}
     for length in range(max_len + 1):
         codes, counts = t.level(length)
-        keep = counts >= min_count
-        rows = t.successor_rows(codes[keep], length)
-        for code, cnt, row in zip(codes[keep], counts[keep], rows):
-            if row.sum() > 0:
+        rows = t.successor_rows(codes, length)
+        for code, cnt, row in zip(codes, counts, rows):
+            if row.sum() >= max(min_count, 1):
                 entries[t.decode(int(code), length)] = (row / row.sum(), int(cnt))
     if not entries:
         raise InsufficientDataError("nothing survives the floor")
@@ -145,7 +152,7 @@ class TestWalkMatchesLevelFilters:
             assert got[word][0].tobytes() == row.tobytes()
 
     def test_negative_floor_rejected(self):
-        t = build_count_table(SymbolStream.from_text("0001", BINARY), 2)
+        t = build_count_table(SymbolStream(BINARY.encode("0001"), BINARY), 2)
         with pytest.raises(InvalidParameterError, match="count floor"):
             collect_derivatives(t, 2, -3)
 
