@@ -222,8 +222,10 @@ def format_pfsa(p: Pfsa) -> str:
 
 
 def parse_pfsa(text: str) -> Pfsa:
-    """Parse the text form.  Errors carry 1-based line numbers."""
+    """Parse the text form.  Errors carry 1-based line numbers.  The arrays
+    are allocated only after the arcs are read and number the states."""
     alphabet = None
+    arcs: dict = {}
     for no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -244,9 +246,7 @@ def parse_pfsa(text: str) -> Pfsa:
             if n_states < 1:
                 raise InvalidInputError(f"line {no}: state count must be positive")
             alphabet = Alphabet(parts[2:])
-            delta = np.full((n_states, alphabet.size), -1, dtype=np.int64)
-            pi = np.zeros((n_states, alphabet.size))
-            seen = set()
+            header_no = no
             continue
         if len(parts) != 4:
             raise InvalidInputError(
@@ -271,15 +271,23 @@ def parse_pfsa(text: str) -> Pfsa:
             raise InvalidInputError(f"line {no}: probability {parts[3]!r} is not a number") from None
         if not 0.0 <= prob <= 1.0:
             raise InvalidInputError(f"line {no}: probability {prob!r} outside [0, 1]")
-        if (src, sym) in seen:
+        if (src, sym) in arcs:
             raise InvalidInputError(
                 f"line {no}: duplicate arc for state {src} and symbol {parts[1]!r}"
             )
-        seen.add((src, sym))
-        delta[src, sym] = dst
-        pi[src, sym] = prob
+        arcs[src, sym] = (dst, prob)
     if alphabet is None:
         raise InvalidInputError("line 1: empty machine description")
+    if n_states > len(arcs):
+        raise InvalidInputError(
+            f"line {header_no}: {n_states} states declared but {len(arcs)} arc lines "
+            "given; every state needs an arc"
+        )
+    delta = np.full((n_states, alphabet.size), -1, dtype=np.int64)
+    pi = np.zeros((n_states, alphabet.size))
+    for (src, sym), (dst, prob) in arcs.items():
+        delta[src, sym] = dst
+        pi[src, sym] = prob
     try:
         return Pfsa(alphabet, delta, pi)
     except InvalidInputError as exc:

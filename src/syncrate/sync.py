@@ -4,12 +4,14 @@ A word synchronizes an observer when the next-symbol distribution after it no
 longer depends on what came before it.  Good candidates show up as extreme
 points of the cloud of symbolic derivatives: interior points are mixtures of
 several hidden states, vertices are not.  The search collects derivatives of
-all sufficiently frequent words, keeps the hull vertices, and picks the most
-frequent vertex word.
+all sufficiently frequent words and tests them, most frequent first, up to
+the first hull vertex, which it picks.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.optimize import linprog
@@ -92,6 +94,31 @@ def _is_vertex(points: np.ndarray, index: int) -> bool:
     return not res.success
 
 
+def _vertex_test(derivs: DerivativeMap):
+    """The vertex test of ``hull_vertex_words`` as a predicate on words,
+    which solves each distinct point's linear program on first use only."""
+    k = derivs.alphabet.size
+    points = np.array([d for d, _ in derivs.entries.values()])
+    uniq, group = np.unique(
+        np.round(points, _HULL_DECIMALS), axis=0, return_inverse=True
+    )
+    if k == 2 or len(uniq) == 1:
+        # unique rows come back sorted: the first coordinate's extremes are
+        # the first and last rows
+        extreme = (uniq[:, 0] == uniq[0, 0]) | (uniq[:, 0] == uniq[-1, 0])
+        is_vertex = extreme.__getitem__
+    elif len(uniq) > MAX_HULL_POINTS or len(uniq) * k > MAX_HULL_PRODUCT:
+        raise ResourceLimitError(
+            f"hull test over {len(uniq)} distinct derivatives of {k} symbols "
+            f"exceeds {MAX_HULL_POINTS} points or {MAX_HULL_PRODUCT} points "
+            "times symbols; shorten the search or raise the count floor"
+        )
+    else:
+        is_vertex = functools.cache(lambda g: _is_vertex(uniq, g))
+    group_of = dict(zip(derivs.entries, group))
+    return lambda word: is_vertex(group_of[word])
+
+
 def hull_vertex_words(derivs: DerivativeMap) -> list:
     """Words whose derivatives lie at vertices of the derivative cloud, in
     ``derivs.entries`` order.
@@ -107,24 +134,7 @@ def hull_vertex_words(derivs: DerivativeMap) -> list:
     512 points 4.3 s and 8.9 s; over 256 symbols the 27 points the
     product allows took 0.3 s, 64 points 1.8 s and 257 points 28 s.
     """
-    k = derivs.alphabet.size
-    points = np.array([d for d, _ in derivs.entries.values()])
-    uniq, group = np.unique(
-        np.round(points, _HULL_DECIMALS), axis=0, return_inverse=True
-    )
-    if k == 2 or len(uniq) == 1:
-        # unique rows come back sorted: the first coordinate's extremes are
-        # the first and last rows
-        vertex = (uniq[:, 0] == uniq[0, 0]) | (uniq[:, 0] == uniq[-1, 0])
-    elif len(uniq) > MAX_HULL_POINTS or len(uniq) * k > MAX_HULL_PRODUCT:
-        raise ResourceLimitError(
-            f"hull test over {len(uniq)} distinct derivatives of {k} symbols "
-            f"exceeds {MAX_HULL_POINTS} points or {MAX_HULL_PRODUCT} points "
-            "times symbols; shorten the search or raise the count floor"
-        )
-    else:
-        vertex = [_is_vertex(uniq, j) for j in range(len(uniq))]
-    return [w for w, g in zip(derivs.entries, group) if vertex[g]]
+    return list(filter(_vertex_test(derivs), derivs.entries))
 
 
 @dataclass(frozen=True)
@@ -157,6 +167,11 @@ def select_sync_string(derivs: DerivativeMap, vertex_words) -> SyncResult:
 def find_sync_string(
     table: CountTable, max_len: int, min_count: int
 ) -> SyncResult:
-    """Collect derivatives, take hull vertices, pick the winner."""
+    """Collect derivatives and pick ``select_sync_string``'s word among
+    ``hull_vertex_words``: words are tested in its order and the search
+    stops at the first vertex, so no program is solved for points behind it.
+    """
     derivs = collect_derivatives(table, max_len, min_count)
-    return select_sync_string(derivs, hull_vertex_words(derivs))
+    ranked = sorted(derivs.entries, key=lambda w: (-derivs.entries[w][1], w))
+    first = islice(filter(_vertex_test(derivs), ranked), 1)
+    return select_sync_string(derivs, list(first))

@@ -349,6 +349,8 @@ class TestExitCodes:
             ("# a machine\n\npfsa 2 0\n", "line 3: header"),
             ("pfsa two 0 1\n", "line 1: state count 'two' is not an integer"),
             ("pfsa 0 0 1\n", "line 1: state count must be positive"),
+            ("pfsa 10000000000000 0 1\n0 0 0 0.5\n0 1 0 0.5\n",
+             "line 1: 10000000000000 states declared but 2 arc lines"),
             ("pfsa 1 0 1\n0 0 0\n", "line 2: arc must read"),
             ("pfsa 1 0 1\n0 0 0 0.5 x\n", "line 2: arc must read"),
             ("pfsa 1 0 1\n0 0 zero 1.0\n", "line 2: state indices must be integers"),

@@ -329,6 +329,13 @@ class TestTextFormat:
         with pytest.raises(InvalidInputError, match="line 2"):
             parse_pfsa(text)
 
+    def test_state_count_beyond_arc_lines_refused_before_allocation(self):
+        # two states per arc line at most would fit; 1e13 states of two
+        # symbols would need 146 TiB of arrays
+        text = "pfsa 10000000000000 0 1\n0 0 0 0.5\n0 1 0 0.5\n"
+        with pytest.raises(InvalidInputError, match="line 1: 10000000000000 states declared"):
+            parse_pfsa(text)
+
     def test_row_sum_failure_detected_after_parse(self):
         text = "pfsa 1 0 1\n0 0 0 0.6\n0 1 0 0.6\n"
         with pytest.raises(InvalidInputError, match="invalid after parsing"):

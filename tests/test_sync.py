@@ -3,15 +3,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import syncrate.sync
 from syncrate import (
     BINARY,
     Alphabet,
+    EstimatorConfig,
     InsufficientDataError,
     InvalidInputError,
     InvalidParameterError,
     ResourceLimitError,
     SymbolStream,
     build_count_table,
+    estimate_entropy_rate,
     evolve,
     simulate,
     stationary_distribution,
@@ -28,6 +31,8 @@ from syncrate.sync import (
     hull_vertex_words,
     select_sync_string,
 )
+from syncrate.estimator import collect_threshold
+from test_estimator import markov27_machine, three_symbol_machine
 from test_streams import tables_to_build
 
 ABC = Alphabet(("a", "b", "c"))
@@ -355,3 +360,92 @@ class TestOnSimulatedStreams:
             if 1.0 - d.max() <= 0.05:
                 passes += 1
         assert passes >= 18
+
+
+def iid_stream(k, n, seed):
+    return SymbolStream(
+        np.random.default_rng(seed).integers(0, k, n), Alphabet(range(k))
+    )
+
+
+# name: (stream, search length, count floor)
+CLOUDS = {
+    "binary": (lambda: simulate(two_state_nonsynchronizable(), 30_000, seed=9), 4, 300),
+    "ternary-one-point": (lambda: SymbolStream(np.zeros(500, np.uint8), ABC), 2, 1),
+    # every word ending in one symbol shares that symbol's successor point
+    "ternary-shared-points": (lambda: SymbolStream(np.tile([0, 1, 2], 1000), ABC), 3, 10),
+    "ternary": (lambda: simulate(three_symbol_machine(), 20_000, seed=1), 3, 20),
+    # the empty word, most frequent, has the mean successor point: interior
+    "iid-8": (lambda: iid_stream(8, 20_000, 1), 2, 10),
+    "markov-27": (lambda: simulate(markov27_machine(), 100_000, seed=1), 1, 10),
+    "iid-8-over-point-cap": (lambda: iid_stream(8, 200_000, 1), 3, 10),
+    "markov-27-over-point-cap": (lambda: simulate(markov27_machine(), 100_000, seed=1), 2, 1),
+}
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """Indices of the linear programs the vertex test solves, in order."""
+    indices = []
+    inner = syncrate.sync._is_vertex
+
+    def counted(points, index):
+        indices.append(index)
+        return inner(points, index)
+
+    monkeypatch.setattr(syncrate.sync, "_is_vertex", counted)
+    return indices
+
+
+def pick(select):
+    try:
+        r = select()
+    except ResourceLimitError as exc:
+        return "refused", str(exc)
+    return r.word, r.derivative.tobytes(), r.count, r.frequency
+
+
+def distinct_points(derivs):
+    points = np.array([d for d, _ in derivs.entries.values()])
+    return len(np.unique(np.round(points, 9), axis=0))
+
+
+class TestEarlyStop:
+    @pytest.mark.parametrize("name", CLOUDS)
+    def test_same_pick_as_full_hull(self, name):
+        make, length, floor = CLOUDS[name]
+        table = build_count_table(make(), length)
+        derivs = collect_derivatives(table, length, floor)
+        full = pick(lambda: select_sync_string(derivs, hull_vertex_words(derivs)))
+        assert pick(lambda: find_sync_string(table, length, floor)) == full
+        assert (full[0] == "refused") == name.endswith("over-point-cap")
+
+    @pytest.mark.parametrize("name", CLOUDS)
+    def test_never_more_programs_than_points(self, name, solved):
+        make, length, floor = CLOUDS[name]
+        table = build_count_table(make(), length)
+        derivs = collect_derivatives(table, length, floor)
+        pick(lambda: find_sync_string(table, length, floor))
+        early = len(solved)
+        pick(lambda: select_sync_string(derivs, hull_vertex_words(derivs)))
+        # either caller solves each distinct point's program at most once
+        assert len(set(solved[:early])) == early <= distinct_points(derivs)
+        assert len(set(solved[early:])) == len(solved) - early
+        if name == "iid-8":
+            assert 1 < early < len(solved) - early
+
+    def test_estimate_on_order_1_markov_27(self, solved):
+        # long enough for every symbol to clear the floor: the empty word's
+        # point, the stream's symbol frequencies, is then a mix of the 27
+        # one-symbol points, and the most frequent of those is the pick
+        stream = simulate(markov27_machine(), 1_000_000, seed=1)
+        cfg = EstimatorConfig(
+            epsilon=0.05, sample_size=1_000, max_extension_length=2, min_count=10
+        )
+        assert len(estimate_entropy_rate(stream, cfg).sync_word) == 1
+        assert len(solved) == 2
+        solved.clear()
+        table = build_count_table(stream, 1)
+        derivs = collect_derivatives(table, 1, collect_threshold(len(stream), 10))
+        hull_vertex_words(derivs)
+        assert len(solved) == distinct_points(derivs) == 28
