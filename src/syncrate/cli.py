@@ -8,12 +8,10 @@ output and any table can be traced back to the exact run that made it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +25,9 @@ from .errors import (
 from .estimator import (
     EstimatorConfig,
     bound_curve,
-    collect_threshold,
     default_sample_size,
     estimate_entropy_rate,
+    search_settings,
 )
 from .generate import (
     ChaoticMapConfig,
@@ -40,29 +38,19 @@ from .generate import (
 from .lz78 import lz78_curve, lz78_entropy_estimate
 from .pfsa import load_pfsa, simulate
 from .streams import Alphabet, SymbolStream, build_count_table
-from .sync import (
-    candidate_length,
-    collect_derivatives,
-    hull_vertex_words,
-    select_sync_string,
-)
+from .sync import collect_derivatives, hull_vertex_words, select_sync_string
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything that determined a run's output."""
-
-    subcommand: str
-    config: dict
-    input_digest: str
-    seed: int | None = None
-    version: str = __version__
-
-    def digest(self) -> str:
-        blob = json.dumps(
-            dataclasses.asdict(self), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+def _digest(subcommand: str, config: dict, input_digest: str) -> str:
+    """sha256 over everything that determined a run's output."""
+    run = {
+        "subcommand": subcommand,
+        "config": config,
+        "input_digest": input_digest,
+        "version": __version__,
+    }
+    blob = json.dumps(run, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _fmt(value) -> str:
@@ -73,9 +61,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _tsv_lines(columns, rows, manifest: RunManifest) -> list[str]:
+def _tsv_lines(columns, rows, digest: str) -> list[str]:
     lines = ["# columns: " + "\t".join(columns)]
-    lines.append(f"# manifest: {manifest.digest()}")
+    lines.append(f"# manifest: {digest}")
     for row in rows:
         lines.append("\t".join(_fmt(v) for v in row))
     return lines
@@ -188,11 +176,7 @@ def _word_label(alphabet: Alphabet, word, human: bool) -> str:
 def cmd_estimate(args) -> int:
     stream, input_digest = _load_stream(args)
     cfg, record = _estimator_config(args, stream.alphabet.size)
-    manifest = RunManifest(
-        subcommand="estimate",
-        config=dict(record, method=args.method),
-        input_digest=input_digest,
-    )
+    digest = _digest("estimate", dict(record, method=args.method), input_digest)
     columns = [
         "h",
         "E",
@@ -234,22 +218,18 @@ def cmd_estimate(args) -> int:
             f"words          {report.cluster_count}",
             f"stream         {report.stream_length} symbols",
         ]
-    _emit(_tsv_lines(columns, [row], manifest) if args.tsv else human, args.out)
+    _emit(_tsv_lines(columns, [row], digest) if args.tsv else human, args.out)
     return 0
 
 
 def cmd_sync(args) -> int:
     stream, input_digest = _load_stream(args)
-    k = stream.alphabet.size
-    length = (
-        args.search_length
-        if args.search_length is not None
-        else candidate_length(args.epsilon, k)
-    )
-    min_count = (
-        args.collect_min
-        if args.collect_min is not None
-        else collect_threshold(len(stream), EstimatorConfig.min_count)
+    length, min_count = search_settings(
+        stream,
+        args.epsilon,
+        EstimatorConfig.min_count,
+        args.search_length,
+        args.collect_min,
     )
     table = build_count_table(stream, length)
     derivs = collect_derivatives(table, length, min_count)
@@ -264,16 +244,12 @@ def cmd_sync(args) -> int:
     if not args.tsv:
         _emit(summary, args.out)
         return 0
-    manifest = RunManifest(
-        subcommand="sync",
-        config={
-            "epsilon": args.epsilon,
-            "search_length": length,
-            "collect_min": min_count,
-            "text": args.text,
-        },
-        input_digest=input_digest,
-    )
+    config = {
+        "epsilon": args.epsilon,
+        "search_length": length,
+        "collect_min": min_count,
+        "text": args.text,
+    }
     columns = ["string", "count"] + [f"p_{c}" for c in stream.alphabet.labels]
     rows = []
     for word, (dist, cnt) in derivs.entries.items():
@@ -281,7 +257,7 @@ def cmd_sync(args) -> int:
             [_word_label(stream.alphabet, word, human=False), cnt]
             + [float(v) for v in dist]
         )
-    _emit(_tsv_lines(columns, rows, manifest), args.out)
+    _emit(_tsv_lines(columns, rows, _digest("sync", config, input_digest)), args.out)
     print("\n".join(summary), file=sys.stderr)
     return 0
 
@@ -291,23 +267,19 @@ def cmd_bounds(args) -> int:
     lengths = _whole_list(args.lengths, "--lengths")
     k = args.alphabet_size
     samples = args.samples if args.samples is not None else default_sample_size(k)
-    manifest = RunManifest(
-        subcommand="bounds",
-        config={
-            "alphabet_size": k,
-            "alphas": alphas,
-            "samples": samples,
-            "p0": args.p0,
-            "lengths": lengths,
-        },
-        input_digest="",
-    )
+    config = {
+        "alphabet_size": k,
+        "alphas": alphas,
+        "samples": samples,
+        "p0": args.p0,
+        "lengths": lengths,
+    }
     curves = [bound_curve(k, a, samples, args.p0, lengths) for a in alphas]
     columns = ["length"] + [f"E_alpha{a:g}" for a in alphas]
     rows = []
     for i, n in enumerate(lengths):
         rows.append([n] + [curves[j][i][1] for j in range(len(alphas))])
-    _emit(_tsv_lines(columns, rows, manifest), args.out)
+    _emit(_tsv_lines(columns, rows, _digest("bounds", config, "")), args.out)
     return 0
 
 
@@ -315,10 +287,8 @@ def cmd_benchmark(args) -> int:
     stream, input_digest = _load_stream(args)
     marks = _whole_list(args.checkpoints, "--checkpoints")
     cfg, record = _estimator_config(args, stream.alphabet.size)
-    manifest = RunManifest(
-        subcommand="benchmark",
-        config=dict(record, checkpoints=marks, method="both"),
-        input_digest=input_digest,
+    digest = _digest(
+        "benchmark", dict(record, checkpoints=marks, method="both"), input_digest
     )
     lz_rows = dict(lz78_curve(stream, marks))
     rows = []
@@ -329,7 +299,7 @@ def cmd_benchmark(args) -> int:
         except InsufficientDataError:  # a prefix too short: blank columns
             h_main, e_main = None, None
         rows.append([n, h_main, e_main, lz_rows[n]])
-    _emit(_tsv_lines(["length", "h_main", "E_main", "h_lz"], rows, manifest), args.out)
+    _emit(_tsv_lines(["length", "h_main", "E_main", "h_lz"], rows, digest), args.out)
     return 0
 
 

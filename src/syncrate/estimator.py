@@ -10,6 +10,7 @@ inequality to report how far the estimate can be from the truth at the
 requested confidence level.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -138,13 +139,14 @@ def solve_uncertainty(
     the 1 - alpha risk budget: finite-stream derivative noise, finite
     sampling of extensions, and never meeting the synchronizing word.  Each
     penalty falls monotonically in the tolerance, so the feasible tolerances
-    form a right-open interval.  Its lower edge is found by a scan of 200
-    geometric grid points in [1e-6, 1 - 1e-6], then bisection between 0 and
-    the first feasible one down to width 1e-9.  When even tolerance 1 is
-    infeasible the bound degrades to log2(k), flagged vacuous.  A bound
-    above log2(k) says nothing an entropy rate in [0, log2(k)] does not, so
-    it is also reported as log2(k), flagged vacuous, with the solved
-    tolerance kept.
+    form a right-open interval, and the feasible points of an ascending grid
+    form the grid's tail.  The interval's lower edge is bracketed by a
+    bisection over 200 geometric grid points in [1e-6, 1 - 1e-6] for the
+    first feasible one, then found by bisection between 0 and that point
+    down to width 1e-9.  When no grid point is feasible the bound degrades
+    to log2(k), flagged vacuous.  A bound above log2(k) says nothing an
+    entropy rate in [0, log2(k)] does not, so it is also reported as
+    log2(k), flagged vacuous, with the solved tolerance kept.
     """
     if alphabet_size < 2:
         raise InvalidParameterError("alphabet must have at least two symbols")
@@ -166,17 +168,12 @@ def solve_uncertainty(
             total += math.exp(-eps * sync_frequency * stream_length)
         return total
 
-    lo_edge, hi_edge = 1e-6, 1.0 - 1e-6
-    grid = np.geomspace(lo_edge, hi_edge, _GRID_POINTS)
-    feasible_at = None
-    for g in grid:
-        if penalty(float(g)) <= budget:
-            feasible_at = float(g)
-            break
-    if feasible_at is None:
+    grid = np.geomspace(1e-6, 1.0 - 1e-6, _GRID_POINTS)
+    first = bisect.bisect_left(grid, True, key=lambda g: penalty(float(g)) <= budget)
+    if first == len(grid):
         return 1.0, math.log2(alphabet_size), True
     lo = 0.0
-    hi = feasible_at
+    hi = float(grid[first])
     while hi - lo > _BOUNDARY_TOL:
         mid = 0.5 * (lo + hi)
         if penalty(mid) <= budget:
@@ -283,6 +280,24 @@ def collect_threshold(stream_length: int, min_count: int) -> int:
     return max(min_count, math.ceil(stream_length ** (2.0 / 3.0)))
 
 
+def search_settings(
+    stream: SymbolStream,
+    epsilon: float,
+    min_count: int,
+    search_length: int | None = None,
+    collect_min_count: int | None = None,
+) -> tuple[int, int]:
+    """Phase I's search depth and count floor: the values given, else
+    ``candidate_length`` and ``collect_threshold``.  ``epsilon`` is read only
+    when no search length is given.
+    """
+    if search_length is None:
+        search_length = candidate_length(epsilon, stream.alphabet.size)
+    if collect_min_count is None:
+        collect_min_count = collect_threshold(len(stream), min_count)
+    return search_length, collect_min_count
+
+
 def estimate_entropy_rate(
     stream: SymbolStream,
     cfg: EstimatorConfig,
@@ -313,16 +328,13 @@ def estimate_entropy_rate(
     still get an estimate.
     """
     k = stream.alphabet.size
-    if search_length is None:
-        search_length = candidate_length(cfg.epsilon, k)
+    search, floor = search_settings(
+        stream, cfg.epsilon, cfg.min_count, search_length, collect_min_count
+    )
     ext_max = cfg.resolved_extension_length(k)
-    if collect_min_count is None:
-        collect_min_count = collect_threshold(len(stream), cfg.min_count)
-    if k ** (search_length + ext_max + 1) > len(stream):
-        shallow = build_count_table(stream, search_length)
-        sync = find_sync_string(shallow, search_length, collect_min_count)
+    split = k ** (search + ext_max + 1) > len(stream)
+    table = build_count_table(stream, search if split else search + ext_max)
+    sync = find_sync_string(table, search, floor)
+    if split:
         table = build_count_table(stream, len(sync.word) + ext_max, root=sync.word)
-    else:
-        table = build_count_table(stream, search_length + ext_max)
-        sync = find_sync_string(table, search_length, collect_min_count)
     return estimate(stream, sync, cfg, table)

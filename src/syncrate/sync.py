@@ -150,11 +150,16 @@ class SyncResult:
     frequency: float
 
 
+def _selection_key(derivs: DerivativeMap):
+    # most frequent first; ties break to the lexicographically least word
+    return lambda word: (-derivs.entries[word][1], word)
+
+
 def select_sync_string(derivs: DerivativeMap, vertex_words) -> SyncResult:
     """Most frequent vertex word; ties break to the lexicographically least."""
     if not vertex_words:
         raise InsufficientDataError("no synchronizing candidates to choose from")
-    best = min(vertex_words, key=lambda w: (-derivs.entries[w][1], w))
+    best = min(vertex_words, key=_selection_key(derivs))
     derivative, cnt = derivs.entries[best]
     return SyncResult(
         word=best,
@@ -172,6 +177,6 @@ def find_sync_string(
     stops at the first vertex, so no program is solved for points behind it.
     """
     derivs = collect_derivatives(table, max_len, min_count)
-    ranked = sorted(derivs.entries, key=lambda w: (-derivs.entries[w][1], w))
+    ranked = sorted(derivs.entries, key=_selection_key(derivs))
     first = islice(filter(_vertex_test(derivs), ranked), 1)
     return select_sync_string(derivs, list(first))

@@ -5,8 +5,11 @@ the module entry point works from a cold start.
 """
 
 import argparse
+import hashlib
+import json
 import os
 import shlex
+import string
 import subprocess
 import sys
 import tracemalloc
@@ -22,6 +25,7 @@ from syncrate import (
     lz78_entropy_estimate,
 )
 from syncrate.cli import _load_stream, main
+from syncrate.estimator import default_sample_size
 from syncrate.pfsa import (
     analytical_entropy_rate,
     format_pfsa,
@@ -29,6 +33,7 @@ from syncrate.pfsa import (
     two_state_synchronizable,
 )
 from syncrate.streams import SymbolStream, BINARY
+from test_estimator import markov27_machine
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +158,51 @@ class TestSync:
         # summary still reaches the terminal, via stderr
         assert "sync word" in err
 
+    def test_epsilon_unread_with_search_length(self, workdir, capsys):
+        code, out, _ = run(
+            ["sync", "--input", str(workdir / "sync.raw"),
+             "--epsilon", "0", "--search-length", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert "sync word" in out
+
+
+@pytest.fixture(scope="module")
+def pick_inputs(workdir):
+    raw, labels = workdir / "markov27.raw", workdir / "markov27.alphabet"
+    stream = simulate(markov27_machine(), 100_000, seed=1)
+    stream.data.astype(np.uint8).tofile(raw)
+    labels.write_text("\n".join(string.ascii_lowercase + "_") + "\n")
+    return {
+        "fixture": ["--input", str(workdir / "sync.raw")],
+        "markov27": ["--input", str(raw), "--alphabet-map", str(labels)],
+    }
+
+
+# sync runs Phase I alone, so its pick must be the one estimate reports
+@pytest.mark.parametrize(
+    "flags", [[], ["--search-length", "2", "--collect-min", "300"]],
+    ids=["default", "set"],
+)
+@pytest.mark.parametrize("source", ["fixture", "markov27"])
+def test_sync_and_estimate_pick_the_same_word(source, flags, pick_inputs, capsys):
+    argv = pick_inputs[source] + flags
+    code, table, summary = run(["sync", "--tsv"] + argv, capsys)
+    assert code == 0
+    word_line, frequency_line = summary.splitlines()[:2]
+    code, out, _ = run(["estimate", "--tsv"] + argv, capsys)
+    assert code == 0
+    fields = out.splitlines()[2].split("\t")
+    x0, p0, n = fields[4], fields[5], int(fields[7])
+    assert word_line.removeprefix("sync word").strip() == (x0 or "<empty>")
+    assert frequency_line.removeprefix("frequency").strip() == f"{float(p0):.6f}"
+    counts = {
+        row[0]: int(row[1])
+        for row in (line.split("\t") for line in table.splitlines()[2:])
+    }
+    assert p0 == "%.12g" % (counts[x0] / n)
+
 
 # --out takes the human summary too, exactly as stdout would show it
 @pytest.mark.parametrize(
@@ -224,6 +274,51 @@ class TestBenchmark:
         h_lz = float(rows[30_000][3])
         assert abs(h_main - truth) < 0.05
         assert abs(h_main - truth) < abs(h_lz - truth)
+
+
+def _layout_digest(subcommand, config, input_digest):
+    run = {
+        "config": config,
+        "input_digest": input_digest,
+        "subcommand": subcommand,
+        "version": syncrate.__version__,
+    }
+    blob = json.dumps(run, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+ESTIMATE_RECORD = {
+    "epsilon": 0.05, "alpha": 0.95, "samples": 100_000, "ext_max": 4,
+    "nmin": 200, "search_length": 1, "collect_min": 200, "text": False,
+}
+
+
+@pytest.mark.parametrize(
+    "argv,config,reads_input",
+    [
+        (["estimate", "--tsv"] + ESTIMATE_FLAGS,
+         dict(ESTIMATE_RECORD, method="paper"), True),
+        (["sync", "--tsv", "--search-length", "2", "--collect-min", "200"],
+         {"epsilon": 0.05, "search_length": 2, "collect_min": 200, "text": False},
+         True),
+        (["bounds", "--alphabet-size", "27", "--alpha", "0.95,0.99",
+          "--lengths", "1000000,5000000"],
+         {"alphabet_size": 27, "alphas": [0.95, 0.99],
+          "samples": default_sample_size(27), "p0": None,
+          "lengths": [1_000_000, 5_000_000]},
+         False),
+        (["benchmark", "--checkpoints", "10000,30000"] + ESTIMATE_FLAGS,
+         dict(ESTIMATE_RECORD, checkpoints=[10_000, 30_000], method="both"), True),
+    ],
+    ids=["estimate", "sync", "bounds", "benchmark"],
+)
+def test_manifest_digest_layout(argv, config, reads_input, workdir, capsys):
+    raw = workdir / "sync.raw"
+    input_digest = hashlib.sha256(raw.read_bytes()).hexdigest() if reads_input else ""
+    code, out, _ = run(argv + (["--input", str(raw)] if reads_input else []), capsys)
+    assert code == 0
+    expected = _layout_digest(argv[0], config, input_digest)
+    assert out.splitlines()[1] == f"# manifest: {expected}"
 
 
 class TestGenerate:

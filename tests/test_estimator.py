@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syncrate import (
@@ -128,6 +128,39 @@ class TestEstimatorConfig:
             cfg.epsilon = 0.2
 
 
+def scan_solve(stream_length, alphabet_size, alpha, sample_count, sync_frequency=None):
+    """solve_uncertainty with its grid searched point by point, for reference."""
+    c0 = (8.0 / math.e + 8.0 / math.e**2) * (alphabet_size - 1)
+    c1 = 2.0 / math.log2(alphabet_size) ** 2
+    budget = 1.0 - alpha
+
+    def penalty(eps):
+        total = c0 * (1.0 + eps * eps) / (stream_length * eps**3)
+        total += 2.0 * math.exp(-c1 * sample_count * eps * eps)
+        if sync_frequency is not None:
+            total += math.exp(-eps * sync_frequency * stream_length)
+        return total
+
+    feasible_at = None
+    for g in np.geomspace(1e-6, 1.0 - 1e-6, 200):
+        if penalty(float(g)) <= budget:
+            feasible_at = float(g)
+            break
+    if feasible_at is None:
+        return 1.0, math.log2(alphabet_size), True
+    lo, hi = 0.0, feasible_at
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if penalty(mid) <= budget:
+            hi = mid
+        else:
+            lo = mid
+    bound = hi + 2.0 * gen_binary_entropy(hi / 2.0, alphabet_size)
+    if bound > math.log2(alphabet_size):
+        return hi, math.log2(alphabet_size), True
+    return hi, bound, False
+
+
 class TestSolveUncertainty:
     def test_frozen_anchor_27_symbols(self):
         eps, bound, vac = solve_uncertainty(
@@ -168,6 +201,22 @@ class TestSolveUncertainty:
         eps, _bound, vac = solve_uncertainty(length, k, alpha, samples, p0)
         assert not vac
         assert abs(eps - scan) <= 2e-4
+
+    # the grid bisection brackets the root where the point-by-point scan did
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        length=st.integers(1, 10**10),
+        k=st.sampled_from([2, 3, 8, 27, 256]),
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        samples=st.integers(1, 10**9),
+        p0=st.none() | st.floats(0.0, 1.0, exclude_min=True),
+    )
+    @example(length=100, k=2, alpha=0.95, samples=10, p0=None)  # infeasible at 1
+    @example(length=5_000, k=2, alpha=0.95, samples=10**7, p0=1.0)  # above 1 bit
+    def test_equals_grid_scan(self, length, k, alpha, samples, p0):
+        assert solve_uncertainty(length, k, alpha, samples, p0) == scan_solve(
+            length, k, alpha, samples, p0
+        )
 
     def test_sits_on_the_feasibility_boundary(self):
         length, k, alpha, samples = 5_000_000, 2, 0.95, 10_000_000
