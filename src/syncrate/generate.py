@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .streams import BINARY, DRAW_BLOCK, Alphabet, SymbolStream
+from .streams import BINARY, DRAW_BLOCK, Alphabet, SymbolStream, is_length
 
 __all__ = [
     "TEXT27",
@@ -49,10 +49,14 @@ class ChaoticMapConfig:
             raise InvalidParameterError(
                 f"initial condition must lie in (-1, 1), got {self.x0}"
             )
-        if self.n < 1:
-            raise InvalidParameterError("output length must be positive")
-        if self.burn_in < 0:
-            raise InvalidParameterError("burn_in must be non-negative")
+        if not is_length(self.n) or self.n < 1:
+            raise InvalidParameterError(
+                f"output length must be a positive integer, got {self.n!r}"
+            )
+        if not is_length(self.burn_in) or self.burn_in < 0:
+            raise InvalidParameterError(
+                f"burn_in must be a non-negative integer, got {self.burn_in!r}"
+            )
 
 
 def chaotic_stream(cfg: ChaoticMapConfig) -> SymbolStream:
@@ -90,8 +94,8 @@ def iid_stream(probs, n: int, seed: int = 0) -> SymbolStream:
         raise InvalidParameterError("distribution needs at least two symbols")
     if p.min() < 0.0 or abs(p.sum() - 1.0) > 1e-9:
         raise InvalidParameterError("probabilities must be non-negative and sum to 1")
-    if n < 1:
-        raise InvalidParameterError("stream length must be positive")
+    if not is_length(n) or n < 1:
+        raise InvalidParameterError(f"stream length must be a positive integer, got {n!r}")
     alphabet = Alphabet(tuple(str(i) for i in range(p.size)))
     cdf = (p / p.sum()).cumsum()
     cdf /= cdf[-1]

@@ -20,6 +20,7 @@ percent of the windows.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -39,6 +40,13 @@ _WINDOW_DTYPES = (np.uint16, np.uint32, np.int64)
 # stream holds 0.5 MB of them rather than 8 bytes per symbol.  Split draws
 # from one generator give the same bits as one draw of the whole length.
 DRAW_BLOCK = 1 << 16
+
+
+def is_length(n) -> bool:
+    """True for an int or NumPy integer other than a bool.  The generators
+    check their length with it, so 1e3 or True is refused with their typed
+    error instead of reaching NumPy's allocation as a bare TypeError."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 class Alphabet:

@@ -92,6 +92,11 @@ class TestChaoticStream:
             ChaoticMapConfig(r=1.5, n=0)
         with pytest.raises(InvalidParameterError):
             ChaoticMapConfig(r=1.5, n=10, burn_in=-1)
+        for n in (1e3, 10.0, True):
+            with pytest.raises(InvalidParameterError, match="output length"):
+                ChaoticMapConfig(r=1.5, n=n)
+        with pytest.raises(InvalidParameterError, match="burn_in"):
+            ChaoticMapConfig(r=1.5, n=10, burn_in=1e3)
 
     def test_peak_memory_one_byte_per_symbol(self):
         n = 2_000_000
@@ -159,6 +164,9 @@ class TestIidStream:
             iid_stream([-0.1, 1.1], 10)
         with pytest.raises(InvalidParameterError):
             iid_stream([0.5, 0.5], 0)
+        for n in (1e3, 10.0, True):
+            with pytest.raises(InvalidParameterError, match="stream length"):
+                iid_stream([0.5, 0.5], n)
 
 
 class TestNormalizeText:

@@ -10,6 +10,7 @@ from syncrate import BINARY, Alphabet, InvalidInputError
 from syncrate.errors import ImpossibleEvolutionError
 from syncrate.streams import DRAW_BLOCK
 from syncrate.pfsa import (
+    _SCAN_MAX_STATES,
     Pfsa,
     analytical_entropy_rate,
     evolve,
@@ -25,6 +26,7 @@ from syncrate.pfsa import (
     two_state_synchronizable,
     validate,
 )
+from test_estimator import markov27_machine
 
 
 def eig_stationary(m):
@@ -42,6 +44,14 @@ def ring_machine(n=100):
     pi = np.zeros((n, 2))
     pi[:, 0] = 1.0
     return Pfsa(BINARY, delta, pi)
+
+
+def permutation_machine(q):
+    # every symbol permutes the states, so chains from different start
+    # states never meet; symbol 0 walks them in a cycle
+    rng = np.random.default_rng(q)
+    delta = np.stack([(np.arange(q) + 1) % q, rng.permutation(q), rng.permutation(q)], axis=1)
+    return Pfsa(Alphabet(("a", "b", "c")), delta, rng.dirichlet([1.0] * 3, size=q))
 
 
 @st.composite
@@ -255,9 +265,21 @@ class TestSimulate:
         s = simulate(p, 4, seed=0, initial_state=0)
         assert len(s) == 4
 
+    @pytest.mark.parametrize(
+        "n",
+        [-1, 1e3, 10.0, True, np.bool_(True), "10"],
+        ids=["negative", "1e3", "10.0", "True", "numpy-True", "str"],
+    )
+    def test_refuses_non_integral_length(self, n):
+        with pytest.raises(InvalidInputError, match="stream length"):
+            simulate(two_state_synchronizable(), n, seed=0)
+
+    def test_numpy_integer_length(self):
+        assert len(simulate(two_state_synchronizable(), np.int64(7), seed=0)) == 7
+
     @given(
         machines_with_zero_arcs(),
-        st.integers(0, 300),
+        st.integers(0, 2_000),
         st.integers(0, 2**32 - 1),
         st.data(),
     )
@@ -278,23 +300,32 @@ class TestSimulate:
         "n", [0, 1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 3 * DRAW_BLOCK + 5]
     )
     def test_block_draws_match_one_shot_draw(self, n):
-        # the reference draws all n uniforms at once
-        p = two_state_nonsynchronizable()
-        for seed in (0, 7):
-            np.testing.assert_array_equal(
-                simulate(p, n, seed=seed).data, reference_simulate(p, n, seed, None)
-            )
+        # the reference draws all n uniforms at once; the machines cover
+        # the block scan with and without coalescing chains, and the loop
+        machines = {
+            "binary": two_state_nonsynchronizable(),
+            "markov27": markov27_machine(),
+            "permutation-5": permutation_machine(5),
+            "above-scan-states": permutation_machine(_SCAN_MAX_STATES + 1),
+        }
+        for name, p in machines.items():
+            for seed in (0, 7):
+                np.testing.assert_array_equal(
+                    simulate(p, n, seed=seed).data,
+                    reference_simulate(p, n, seed, None),
+                    err_msg=f"{name}, seed {seed}",
+                )
 
     def test_peak_memory_one_byte_per_symbol(self):
         n = 2_000_000
-        p = two_state_nonsynchronizable()
-        tracemalloc.start()
-        try:
-            s = simulate(p, n, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(s) == n and peak / n < 2
+        for p in (two_state_nonsynchronizable(), markov27_machine()):
+            tracemalloc.start()
+            try:
+                s = simulate(p, n, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(s) == n and peak / n < 2, p
 
 
 class TestTextFormat:
