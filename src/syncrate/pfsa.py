@@ -263,8 +263,14 @@ def _bucket_table(edges):
     """Bucket b of the edges scaled by 2**16 (an exact scaling) holds the
     scaled u in [b, b + 1).  Return for each bucket the number of edges
     below it and whether an edge falls in it."""
-    per_bucket = np.bincount(edges.astype(np.intp), minlength=_BUCKETS + 1)
-    return (np.cumsum(per_bucket) - per_bucket).astype(np.uint16), per_bucket > 0
+    floors = edges.astype(np.intp)
+    # edge i lies in bucket floors[i], so buckets floors[i - 1] + 1 up to
+    # floors[i] have i edges below them
+    steps = np.diff(floors + 1, prepend=0, append=_BUCKETS + 1)
+    below = np.repeat(np.arange(floors.size + 1, dtype=np.uint16), steps)
+    holds = np.zeros(_BUCKETS + 1, dtype=bool)
+    holds[floors] = True
+    return below, holds
 
 
 def _cells(r, edges, lo, split) -> np.ndarray:
