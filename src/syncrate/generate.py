@@ -26,6 +26,9 @@ __all__ = [
 
 # letters a..z in order, then space at index 26
 TEXT27 = Alphabet(tuple(string.ascii_lowercase) + (" ",))
+# iterates of the chaotic map held in Python floats before their symbols
+# are written
+_ORBIT_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -67,16 +70,32 @@ def chaotic_stream(cfg: ChaoticMapConfig) -> SymbolStream:
     [-1, 1] even in floating point: for r in (0, 2] and |x| <= 1 the
     product fl(fl(r * x) * x) lies in [0, 2], rounding being monotone and
     2 representable, so 1 minus it lies in [-1, 1].
+
+    The recurrence is sequential in floating point and stays a Python
+    loop.  Each iterate goes into a reused list of ``_ORBIT_BLOCK`` floats,
+    the cheapest store the interpreter has, and one comparison turns every
+    full list into symbols.  The floats, their index list and the array
+    read from them take about 76 bytes per entry, so 2**14 entries keep
+    generation under 2 bytes per symbol on 2e6 symbols (1.66).  A list of
+    2**16 floats ran faster, but took 2.31 bytes per symbol even without
+    the index list.
     """
     r = cfg.r
     x = cfg.x0
     for _ in range(cfg.burn_in):
         x = 1.0 - r * x * x
-    out = np.empty(cfg.n, dtype=np.uint8)
-    dst = memoryview(out)
-    for i in range(cfg.n):
-        dst[i] = x >= 0.0
-        x = 1.0 - r * x * x
+    n = cfg.n
+    out = np.empty(n, dtype=np.uint8)
+    buf = [0.0] * min(n, _ORBIT_BLOCK)
+    # a list of the indices, unlike a range, makes no int object per step
+    slots = list(range(len(buf)))
+    for start in range(0, n, _ORBIT_BLOCK):
+        m = min(_ORBIT_BLOCK, n - start)
+        del slots[m:]
+        for i in slots:
+            buf[i] = x
+            x = 1.0 - r * x * x
+        out[start : start + m] = np.fromiter(buf, float, m) >= 0.0
     out.setflags(write=False)
     return SymbolStream(out, BINARY)
 

@@ -299,7 +299,6 @@ def _scan_block(cells, state, sym, nxt, c, dst) -> int:
     grid = np.zeros((rows, width), dtype=np.uint16)
     grid.reshape(-1)[:m] = cells
     grid = np.ascontiguousarray(grid.T, dtype=np.intp)
-    buf = np.empty((width, rows), dtype=np.uint8)
     chains = np.repeat(np.arange(0, nxt.size, c), rows).reshape(-1, rows)
     t, coalesced = 0, False
     while t < width and not coalesced:
@@ -308,24 +307,26 @@ def _scan_block(cells, state, sym, nxt, c, dst) -> int:
         coalesced = t % _COALESCE_CHECK == 0 and bool((chains == chains[0]).all())
     if coalesced:
         # every start state of row j leads to chains[0, j] by step t
-        starts = np.concatenate(([state], _walk(chains[0], grid[t:], buf[t:], sym, nxt)))
+        starts = np.concatenate(([state], _walk(chains[0], grid[t:], nxt)))
     else:
         starts = [state]
         for row_map in chains.T.tolist():
             starts.append(row_map[starts[-1] // c])
         starts = np.array(starts)
         t = width
-    _walk(starts[:-1], grid[:t], buf[:t], sym, nxt)
-    dst[:] = buf.T.reshape(-1)[:m]
+    _walk(starts[:-1], grid[:t], nxt)
+    # the walks left each cell's table index in grid: one take reads every
+    # symbol
+    dst[:] = sym.take(grid).T.reshape(-1)[:m]
     return int(starts[-1])
 
 
-def _walk(states, grid, buf, sym, nxt):
-    """Step each row's state through its cells, writing the symbols."""
-    for cells, syms in zip(grid, buf):
-        at = states + cells
-        syms[:] = sym.take(at)
-        states = nxt.take(at)
+def _walk(states, grid, nxt):
+    """Step each row's state through its cells, turning each cell of grid
+    in place into the flat table index that it is read at."""
+    for cells in grid:
+        cells += states
+        states = nxt.take(cells)
     return states
 
 
