@@ -38,7 +38,7 @@ from .generate import (
 from .lz78 import lz78_curve, lz78_entropy_estimate
 from .pfsa import load_pfsa, simulate
 from .streams import Alphabet, SymbolStream, build_count_table
-from .sync import collect_derivatives, hull_vertex_words, select_sync_string
+from .sync import collect_derivatives, find_sync_string
 
 
 def _digest(subcommand: str, config: dict, input_digest: str) -> str:
@@ -233,13 +233,11 @@ def cmd_sync(args) -> int:
     )
     table = build_count_table(stream, length)
     derivs = collect_derivatives(table, length, min_count)
-    vertices = hull_vertex_words(derivs)
-    result = select_sync_string(derivs, vertices)
+    result = find_sync_string(derivs)
     word = _word_label(stream.alphabet, result.word, human=True)
     summary = [
         f"sync word      {word}",
         f"frequency      {result.frequency:.6f}",
-        f"hull vertices  {len(vertices)}",
     ]
     if not args.tsv:
         _emit(summary, args.out)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidParameterError
-from .streams import CountTable, SymbolStream, build_count_table, entropy
-from .sync import SyncResult, candidate_length, find_sync_string
+from .streams import CountTable, SymbolStream, build_count_table, entropy, is_length
+from .sync import SyncResult, candidate_length, collect_derivatives, find_sync_string
 
 _BOUNDARY_TOL = 1e-9
 _GRID_POINTS = 200
@@ -62,8 +62,11 @@ class EstimatorConfig:
             raise InvalidParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.sample_size is not None and self.sample_size < 1:
             raise InvalidParameterError("sample_size must be at least 1")
-        if self.max_extension_length is not None and self.max_extension_length < 0:
-            raise InvalidParameterError("max_extension_length must be non-negative")
+        ext = self.max_extension_length
+        if ext is not None and (not is_length(ext) or ext < 0):
+            raise InvalidParameterError(
+                f"max_extension_length must be a non-negative integer, got {ext!r}"
+            )
         if self.min_count < 0:
             raise InvalidParameterError("min_count must be non-negative")
 
@@ -334,7 +337,7 @@ def estimate_entropy_rate(
     ext_max = cfg.resolved_extension_length(k)
     split = k ** (search + ext_max + 1) > len(stream)
     table = build_count_table(stream, search if split else search + ext_max)
-    sync = find_sync_string(table, search, floor)
+    sync = find_sync_string(collect_derivatives(table, search, floor))
     if split:
         table = build_count_table(stream, len(sync.word) + ext_max, root=sync.word)
     return estimate(stream, sync, cfg, table)

@@ -43,9 +43,9 @@ DRAW_BLOCK = 1 << 16
 
 
 def is_length(n) -> bool:
-    """True for an int or NumPy integer other than a bool.  The generators
-    check their length with it, so 1e3 or True is refused with their typed
-    error instead of reaching NumPy's allocation as a bare TypeError."""
+    """True for an int or NumPy integer other than a bool.  Sizes are checked
+    with it, so 1e3, 2.5 or True is refused with the caller's typed error
+    instead of reaching NumPy or ``range`` as a bare TypeError."""
     return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
@@ -122,8 +122,8 @@ class SymbolStream:
         self.alphabet = alphabet
 
     def prefix(self, n: int) -> "SymbolStream":
-        if n < 0:
-            raise InvalidInputError(f"prefix length must be non-negative, got {n}")
+        if not is_length(n) or n < 0:
+            raise InvalidInputError(f"prefix length must be a non-negative integer, got {n!r}")
         return SymbolStream(self.data[:n], self.alphabet)
 
     def __len__(self):
@@ -192,8 +192,11 @@ class CountTable:
         return tuple(reversed(out))
 
     def count(self, word) -> int:
-        codes, counts = self.level(len(word))
-        return int(counts[codes == self.encode(word)].sum())
+        """Occurrences of ``word``; zero for a word shorter than the table's root."""
+        view = self.rooted(word)  # refuses a bad symbol or a word beyond coverage
+        if len(word) < self._root_len:
+            return 0
+        return int(view._deepest[1].sum() + view._cut[1].size)
 
     def successor_rows(self, codes, length) -> np.ndarray:
         """Successor counts of words of one length <= max_len, given by code.
@@ -252,7 +255,7 @@ class CountTable:
         successor.  Counts pre-filter, as no word has more successors than
         occurrences.  The next length's words are the row entries, so each
         level is read once; no word outnumbers its prefix, so none is missed.
-        The root's count is its view's deepest counts plus its cut windows."""
+        The root's count is ``count(root)``, zero below the table's root."""
         if floor < 0:
             raise InvalidParameterError(f"count floor must be non-negative, got {floor}")
         if depth > self.max_len:
@@ -261,11 +264,9 @@ class CountTable:
             )
         floor = max(floor, 1)
         view = self.rooted(root)
-        if len(root) < self._root_len:
-            return  # shorter than the table's own root, so counted zero
         k = self.alphabet.size
         codes = np.array([view.encode(root)], dtype=np.int64)
-        counts = np.array([view._deepest[1].sum() + view._cut[1].size], dtype=np.int64)
+        counts = np.array([self.count(root)], dtype=np.int64)
         for length in range(len(root), depth + 1):
             keep = counts >= floor
             codes, counts = codes[keep], counts[keep]
@@ -367,8 +368,8 @@ def build_count_table(
     min(n, k**L)) exceeds ``max_entries`` or whose codes would overflow
     int64, as the full table would.
     """
-    if max_len < 0:
-        raise InvalidInputError("max_len must be non-negative")
+    if not is_length(max_len) or max_len < 0:
+        raise InvalidInputError(f"max_len must be a non-negative integer, got {max_len!r}")
     k = s.alphabet.size
     n = len(s)
     depth = max_len + 1

@@ -169,14 +169,12 @@ def select_sync_string(derivs: DerivativeMap, vertex_words) -> SyncResult:
     )
 
 
-def find_sync_string(
-    table: CountTable, max_len: int, min_count: int
-) -> SyncResult:
-    """Collect derivatives and pick ``select_sync_string``'s word among
-    ``hull_vertex_words``: words are tested in its order and the search
-    stops at the first vertex, so no program is solved for points behind it.
+def find_sync_string(derivs: DerivativeMap) -> SyncResult:
+    """``select_sync_string``'s word among ``hull_vertex_words(derivs)``, for
+    the ``DerivativeMap`` that ``collect_derivatives`` returns: words are
+    tested in its order and the search stops at the first vertex, so no
+    program is solved for points behind it.
     """
-    derivs = collect_derivatives(table, max_len, min_count)
     ranked = sorted(derivs.entries, key=_selection_key(derivs))
     first = islice(filter(_vertex_test(derivs), ranked), 1)
     return select_sync_string(derivs, list(first))

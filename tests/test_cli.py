@@ -34,6 +34,7 @@ from syncrate.pfsa import (
 )
 from syncrate.streams import SymbolStream, BINARY
 from test_estimator import markov27_machine
+from test_sync import solved  # noqa: F401 (fixture)
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +137,9 @@ class TestSync:
             capsys,
         )
         assert code == 0
-        assert "sync word      0" in out
-        assert "hull vertices" in out
+        word, frequency = out.splitlines()
+        assert word == "sync word      0"
+        assert frequency.startswith("frequency      ")
 
     def test_tsv_dump(self, workdir, capsys):
         code, out, err = run(
@@ -202,6 +204,18 @@ def test_sync_and_estimate_pick_the_same_word(source, flags, pick_inputs, capsys
         for row in (line.split("\t") for line in table.splitlines()[2:])
     }
     assert p0 == "%.12g" % (counts[x0] / n)
+
+
+def test_sync_solves_as_many_programs_as_estimate(pick_inputs, solved, capsys):
+    # both subcommands pick through find_sync_string, which stops at the
+    # first vertex in selection order
+    programs = []
+    for subcommand in ("sync", "estimate"):
+        code, _, _ = run([subcommand] + pick_inputs["markov27"], capsys)
+        assert code == 0
+        programs.append(len(solved))
+        solved.clear()
+    assert programs == [1, 1]
 
 
 # --out takes the human summary too, exactly as stdout would show it

@@ -22,6 +22,7 @@ from syncrate import (
     bound_curve,
     build_count_table,
     candidate_length,
+    collect_derivatives,
     entropy,
     estimate_entropy_rate,
     find_sync_string,
@@ -106,6 +107,11 @@ class TestEstimatorConfig:
             EstimatorConfig(epsilon=0.1, sample_size=0)
         with pytest.raises(InvalidParameterError):
             EstimatorConfig(epsilon=0.1, max_extension_length=-1)
+        with pytest.raises(InvalidParameterError, match="non-negative integer"):
+            EstimatorConfig(epsilon=0.1, max_extension_length=2.5)
+        stream = simulate(two_state_synchronizable(), 1_000, seed=0)
+        with pytest.raises(InvalidInputError, match="non-negative integer"):
+            estimate_entropy_rate(stream, EstimatorConfig(epsilon=0.1), search_length=2.5)
         with pytest.raises(InvalidParameterError):
             EstimatorConfig(epsilon=0.1, min_count=-1)
 
@@ -385,7 +391,7 @@ class TestEstimatePipeline:
             epsilon=0.05, sample_size=500, max_extension_length=3, min_count=5
         )
         table = build_count_table(stream, search_length + 3)
-        sync = find_sync_string(table, search_length, collect_min)
+        sync = find_sync_string(collect_derivatives(table, search_length, collect_min))
         if rooted:
             # only the windows behind x0 are counted
             table = build_count_table(stream, len(sync.word) + 3, root=sync.word)
@@ -433,7 +439,7 @@ class TestEstimatePipeline:
         for length in range(table.max_len + 2):
             table.level(length)
         floor = collect_threshold(len(stream), cfg.min_count)
-        sync = find_sync_string(table, search, floor)
+        sync = find_sync_string(collect_derivatives(table, search, floor))
         report = estimate(stream, sync, cfg, table)
         assert report == estimate_entropy_rate(stream, cfg)
         assert report.cluster_count > 1
@@ -446,7 +452,7 @@ class TestEstimatePipeline:
             epsilon=0.05, sample_size=200_000, max_extension_length=8, min_count=10
         )
         floor = collect_threshold(len(stream), cfg.min_count)
-        sync = find_sync_string(build_count_table(stream, 1), 1, floor)
+        sync = find_sync_string(collect_derivatives(build_count_table(stream, 1), 1, floor))
         table = build_count_table(stream, len(sync.word) + 8, root=sync.word)
         entries = table.level(table.max_len + 1)[0].size
         tracemalloc.start()
@@ -483,7 +489,8 @@ class TestEstimatePipeline:
         k = stream.alphabet.size
         assert (k ** (search + ext_max + 1) > n) == split
         table = build_count_table(stream, search + ext_max)
-        chain = estimate(stream, find_sync_string(table, search, 100), cfg, table)
+        sync = find_sync_string(collect_derivatives(table, search, 100))
+        chain = estimate(stream, sync, cfg, table)
         assert chain.sync_word
         roots = []
 
@@ -587,7 +594,7 @@ class TestEstimatePipeline:
         machine = two_state_synchronizable()
         stream = simulate(machine, 5_000, seed=0)
         table = build_count_table(stream, 3)
-        sync = find_sync_string(table, 2, 500)
+        sync = find_sync_string(collect_derivatives(table, 2, 500))
         cfg = EstimatorConfig(epsilon=0.1, sample_size=10, max_extension_length=6)
         with pytest.raises(InvalidInputError, match="covers words up to"):
             estimate(stream, sync, cfg, table)

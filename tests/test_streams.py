@@ -135,7 +135,7 @@ class TestSymbolStream:
 
     def test_negative_prefix_rejected(self):
         s = stream_from("00010")
-        for n in (-1, -2, -5, -6):
+        for n in (-1, -2, -5, -6, 2.5):
             with pytest.raises(InvalidInputError, match="prefix length"):
                 s.prefix(n)
         assert len(s.prefix(0)) == 0 and len(s.prefix(9)) == 5
@@ -319,6 +319,9 @@ class TestCountTable:
             assert codes.dtype == np.int64 and counts.dtype == np.int64
             assert np.array_equal(codes, want_codes[inside])
             assert np.array_equal(counts, want_counts[inside])
+            # every word of the full level, those shorter than the root too
+            words = [t.decode(int(c), length) for c in want_codes]
+            assert [view.count(w) for w in words] == np.where(inside, want_counts, 0).tolist()
         for length in range(max_len + 1):
             # every word of the full level; successors outside the root read zero
             words = [t.decode(int(c), length) for c in t.level(length)[0]]
@@ -411,6 +414,8 @@ class TestCountTable:
             build_count_table(SymbolStream([], BINARY), max_len=2, root=(2,))
         with pytest.raises(ResourceLimitError):
             build_count_table(s, max_len=4, max_entries=5, root=(0,))
+        with pytest.raises(InvalidInputError, match="non-negative integer"):
+            build_count_table(s, max_len=2.5, root=(0,))
 
     def test_build_peak_memory(self):
         # 2**11 window codes fit 16 bits: two bytes of codes per symbol, read

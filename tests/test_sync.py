@@ -331,7 +331,7 @@ class TestOnSimulatedStreams:
         p = two_state_synchronizable()
         s = simulate(p, 100_000, seed=0)
         t = build_count_table(s, 6)
-        r = find_sync_string(t, 5, min_count=2155)
+        r = find_sync_string(collect_derivatives(t, 5, min_count=2155))
         rows = [np.array([0.85, 0.15]), np.array([0.25, 0.75])]
         dist = min(np.abs(r.derivative - row).max() for row in rows)
         assert dist < 0.02
@@ -342,8 +342,8 @@ class TestOnSimulatedStreams:
     def test_selection_deterministic(self):
         s = simulate(two_state_synchronizable(), 50_000, seed=3)
         t = build_count_table(s, 6)
-        a = find_sync_string(t, 5, min_count=1000)
-        b = find_sync_string(t, 5, min_count=1000)
+        a = find_sync_string(collect_derivatives(t, 5, min_count=1000))
+        b = find_sync_string(collect_derivatives(t, 5, min_count=1000))
         assert a.word == b.word and a.count == b.count
 
     def test_nonsynchronizable_machine_still_approximately_syncs(self):
@@ -355,7 +355,7 @@ class TestOnSimulatedStreams:
         for seed in range(20):
             s = simulate(p, 100_000, seed=seed)
             t = build_count_table(s, 6)
-            r = find_sync_string(t, 5, min_count=2155)
+            r = find_sync_string(collect_derivatives(t, 5, min_count=2155))
             d = evolve(p, st, r.word)
             if 1.0 - d.max() <= 0.05:
                 passes += 1
@@ -417,7 +417,7 @@ class TestEarlyStop:
         table = build_count_table(make(), length)
         derivs = collect_derivatives(table, length, floor)
         full = pick(lambda: select_sync_string(derivs, hull_vertex_words(derivs)))
-        assert pick(lambda: find_sync_string(table, length, floor)) == full
+        assert pick(lambda: find_sync_string(derivs)) == full
         assert (full[0] == "refused") == name.endswith("over-point-cap")
 
     @pytest.mark.parametrize("name", CLOUDS)
@@ -425,7 +425,7 @@ class TestEarlyStop:
         make, length, floor = CLOUDS[name]
         table = build_count_table(make(), length)
         derivs = collect_derivatives(table, length, floor)
-        pick(lambda: find_sync_string(table, length, floor))
+        pick(lambda: find_sync_string(derivs))
         early = len(solved)
         pick(lambda: select_sync_string(derivs, hull_vertex_words(derivs)))
         # either caller solves each distinct point's program at most once
