@@ -60,15 +60,16 @@ class EstimatorConfig:
             )
         if not 0.0 < self.alpha < 1.0:
             raise InvalidParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.sample_size is not None and self.sample_size < 1:
-            raise InvalidParameterError("sample_size must be at least 1")
+        size = self.sample_size
+        if size is not None and (not is_length(size) or size < 1):
+            raise InvalidParameterError(f"sample_size must be a positive integer, got {size!r}")
         ext = self.max_extension_length
         if ext is not None and (not is_length(ext) or ext < 0):
             raise InvalidParameterError(
                 f"max_extension_length must be a non-negative integer, got {ext!r}"
             )
-        if self.min_count < 0:
-            raise InvalidParameterError("min_count must be non-negative")
+        if not is_length(self.min_count) or self.min_count < 0:
+            raise InvalidParameterError("min_count must be a non-negative integer")
 
     def resolved_sample_size(self, alphabet_size: int) -> int:
         if self.sample_size is not None:
@@ -326,9 +327,9 @@ def estimate_entropy_rate(
     where x0 starts 7% of the windows, the split took 0.09-0.11 s against
     0.30-0.32 s for one table; on 1e7 quadratic-map symbols with ext_max 5
     (2^11 deep codes), one table took 0.040-0.042 s against 0.069-0.075 s.
-    The split tables are shallower than the single one, so a stream whose
-    single table would exceed the int64 code range or the entry cap can
-    still get an estimate.
+    The split tables are shallower than the single one, with fewer possible
+    codes, so a stream whose single table would exceed the int64 code range
+    or ``streams.MAX_TABLE_ENTRIES`` can still get an estimate.
     """
     k = stream.alphabet.size
     search, floor = search_settings(

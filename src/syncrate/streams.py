@@ -41,6 +41,9 @@ _WINDOW_DTYPES = (np.uint16, np.uint32, np.int64)
 # from one generator give the same bits as one draw of the whole length.
 DRAW_BLOCK = 1 << 16
 
+# the most entries ``build_count_table`` may store, 3.2 GB at 16 bytes each
+MAX_TABLE_ENTRIES = 200_000_000
+
 
 def is_length(n) -> bool:
     """True for an int or NumPy integer other than a bool.  Sizes are checked
@@ -256,8 +259,9 @@ class CountTable:
         occurrences.  The next length's words are the row entries, so each
         level is read once; no word outnumbers its prefix, so none is missed.
         The root's count is ``count(root)``, zero below the table's root."""
-        if floor < 0:
-            raise InvalidParameterError(f"count floor must be non-negative, got {floor}")
+        for name, size in (("depth", depth), ("count floor", floor)):
+            if not is_length(size) or size < 0:
+                raise InvalidParameterError(f"{name} must be a non-negative integer, got {size!r}")
         if depth > self.max_len:
             raise InvalidInputError(
                 f"count table covers words up to length {self.max_len}, walk needs {depth}"
@@ -339,9 +343,7 @@ def _cut_windows(data, k: int, top: int):
     return last % k**lens, lens
 
 
-def build_count_table(
-    s: SymbolStream, max_len: int, max_entries: int = 200_000_000, root=()
-) -> CountTable:
+def build_count_table(s: SymbolStream, max_len: int, root=()) -> CountTable:
     """Count table covering every word length up to max_len + 1.
 
     Matches the naive overlapping scan exactly.  One encode and one sort do
@@ -364,9 +366,9 @@ def build_count_table(
     ``rooted(root)``, which keeps the cut windows that begin with the root
     and refuses a root longer than max_len + 1 or outside the alphabet.
 
-    Refuses tables whose distinct word bound (sum over lengths of
-    min(n, k**L)) exceeds ``max_entries`` or whose codes would overflow
-    int64, as the full table would.
+    Refuses a table that may store more than ``MAX_TABLE_ENTRIES`` entries,
+    min(n, k**(top - len(root))): at most one per window and one per code of
+    the symbols behind the root.  Refuses codes that would overflow int64.
     """
     if not is_length(max_len) or max_len < 0:
         raise InvalidInputError(f"max_len must be a non-negative integer, got {max_len!r}")
@@ -378,16 +380,13 @@ def build_count_table(
             f"words of length {depth} over {k} symbols exceed the int64 code "
             "range; reduce max_len or use a smaller alphabet"
         )
-    bound = 0
-    for length in range(1, depth + 1):
-        bound += min(n, k**length)
-        if bound > max_entries:
-            raise ResourceLimitError(
-                f"count table would hold more than {max_entries} entries; "
-                "reduce max_len or raise max_entries explicitly"
-            )
     r = len(root)
     top = min(depth, n)
+    if min(n, k ** max(top - r, 0)) > MAX_TABLE_ENTRIES:
+        raise ResourceLimitError(
+            f"count table would hold more than {MAX_TABLE_ENTRIES} entries; "
+            "reduce max_len or count behind a longer root"
+        )
     empty = np.empty(0, dtype=np.int64)
     deepest = cut = (empty, empty)
     if top == 0 and r == 0:

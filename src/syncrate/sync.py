@@ -63,8 +63,6 @@ def collect_derivatives(table: CountTable, max_len: int, min_count: int) -> Deri
     the empty word keeps at floor min_count.  Raises InsufficientDataError
     when nothing survives the floor.
     """
-    if max_len < 0:
-        raise InvalidParameterError("max_len must be non-negative")
     entries: dict = {}
     for length, codes, counts, rows in table.walk((), min_count, max_len):
         dists = rows / rows.sum(axis=1, keepdims=True)

@@ -114,6 +114,12 @@ class TestEstimatorConfig:
             estimate_entropy_rate(stream, EstimatorConfig(epsilon=0.1), search_length=2.5)
         with pytest.raises(InvalidParameterError):
             EstimatorConfig(epsilon=0.1, min_count=-1)
+        with pytest.raises(InvalidParameterError, match="positive integer"):
+            EstimatorConfig(epsilon=0.1, sample_size=2.5)
+        with pytest.raises(InvalidParameterError, match="non-negative integer"):
+            EstimatorConfig(epsilon=0.1, min_count=2.5)
+        with pytest.raises(InvalidParameterError, match="count floor"):
+            estimate_entropy_rate(stream, EstimatorConfig(epsilon=0.1), collect_min_count=2.5)
 
     def test_resolved_defaults(self):
         cfg = EstimatorConfig(epsilon=0.1)

@@ -13,6 +13,7 @@ from syncrate import (
     SymbolStream,
     build_count_table,
     entropy,
+    streams,
 )
 
 
@@ -403,7 +404,7 @@ class TestCountTable:
             rooted = build_count_table(s, max_len, root=root)
             assert list(rooted.walk(root[:-1], 0, max_len)) == []
 
-    def test_rooted_build_refusals(self):
+    def test_rooted_build_refusals(self, monkeypatch):
         s = stream_from("010101")
         with pytest.raises(InvalidInputError):
             build_count_table(s, max_len=2, root=(0, 1, 0, 1))
@@ -412,8 +413,9 @@ class TestCountTable:
         # no window to count, and still refused
         with pytest.raises(InvalidInputError):
             build_count_table(SymbolStream([], BINARY), max_len=2, root=(2,))
+        monkeypatch.setattr(streams, "MAX_TABLE_ENTRIES", 5)
         with pytest.raises(ResourceLimitError):
-            build_count_table(s, max_len=4, max_entries=5, root=(0,))
+            build_count_table(s, max_len=4, root=(0,))
         with pytest.raises(InvalidInputError, match="non-negative integer"):
             build_count_table(s, max_len=2.5, root=(0,))
 
@@ -477,10 +479,19 @@ class TestCountTable:
         with pytest.raises(ResourceLimitError):
             build_count_table(s, max_len=12)
 
-    def test_entry_budget_guard(self):
+    def test_entry_budget_guard(self, monkeypatch):
         s = stream_from("01" * 500)
+        view = build_count_table(s, 9).rooted((0,))
+        monkeypatch.setattr(streams, "MAX_TABLE_ENTRIES", 600)
+        # the cap counts what the table stores: 2**9 codes behind the root,
+        # where the sum of min(n, 2**L) over every level reaches 2,022
+        built = build_count_table(s, 9, root=(0,))
+        for length in range(11):
+            for got, want in zip(built.level(length), view.level(length)):
+                assert np.array_equal(got, want)
+        # min(1000 windows, 2**10 codes) > 600
         with pytest.raises(ResourceLimitError):
-            build_count_table(s, max_len=9, max_entries=100)
+            build_count_table(s, 9)
 
 
 class TestEntropy:

@@ -160,6 +160,14 @@ class TestWalkMatchesLevelFilters:
         t = build_count_table(SymbolStream(BINARY.encode("0001"), BINARY), 2)
         with pytest.raises(InvalidParameterError, match="count floor"):
             collect_derivatives(t, 2, -3)
+        with pytest.raises(InvalidParameterError, match="count floor"):
+            collect_derivatives(t, 2, 2.5)
+        with pytest.raises(InvalidParameterError, match="depth"):
+            collect_derivatives(t, 2.5, 1)
+        with pytest.raises(InvalidParameterError, match="count floor"):
+            list(t.walk((), 2.5, 2))
+        with pytest.raises(InvalidParameterError, match="depth"):
+            list(t.walk((), 1, 2.5))
 
 
 class TestHullVertexWords:
