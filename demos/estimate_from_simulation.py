@@ -29,8 +29,6 @@ print("absolute error   %.6f" % abs(report.entropy_rate - truth))
 print("bound            %.6f at confidence %.2f" % (report.bound, report.alpha))
 print("sync word        %r occurring %.1f%% of the time"
       % (report.sync_word, 100 * report.sync_frequency))
-print("samples          %d used, %d discarded"
-      % (report.samples_used, report.samples_discarded))
 # every word x0·w seen more than min_count times is one term of the mean
 print("words            %d" % report.cluster_count)
 

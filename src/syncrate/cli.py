@@ -1,8 +1,10 @@
 """Command-line surface: estimate, sync, bounds, benchmark, generate.
 
-Every run resolves its configuration into a manifest whose digest is
-stamped into TSV headers, so identical invocations produce byte-identical
-output and any table can be traced back to the exact run that made it.
+Every TSV header carries a manifest digest: a sha256 over the flags as
+parsed, the symbols and labels read, and the version.  Flags that only name
+files or where output goes (``_NOT_HASHED``) are left out, so identical
+invocations produce byte-identical output and any table can be traced back
+to the exact run that made it.
 """
 
 from __future__ import annotations
@@ -41,12 +43,19 @@ from .streams import Alphabet, SymbolStream, build_count_table
 from .sync import collect_derivatives, find_sync_string
 
 
-def _digest(subcommand: str, config: dict, input_digest: str) -> str:
-    """sha256 over everything that determined a run's output."""
+# the handler, file names and where output goes: the digest covers what the
+# files hold, not their names.  A path flag that leaves the TSV unchanged,
+# such as a trace file, belongs here too
+_NOT_HASHED = ("run", "input", "alphabet_map", "out")
+
+
+def _digest(args, stream: SymbolStream | None = None) -> str:
+    """sha256 over the parsed flags, the stream's symbols and labels, and
+    the version: everything that determined a run's output."""
     run = {
-        "subcommand": subcommand,
-        "config": config,
-        "input_digest": input_digest,
+        "flags": {k: v for k, v in vars(args).items() if k not in _NOT_HASHED},
+        "symbols": None if stream is None else hashlib.sha256(stream.data).hexdigest(),
+        "labels": None if stream is None else list(stream.alphabet.labels),
         "version": __version__,
     }
     blob = json.dumps(run, sort_keys=True, separators=(",", ":"))
@@ -121,41 +130,28 @@ def _read_input(path: str) -> np.ndarray:
     return raw
 
 
-def _load_stream(args) -> tuple[SymbolStream, str]:
-    """Input file to stream, plus the raw file's digest."""
+def _load_stream(args) -> SymbolStream:
+    """Input file to stream."""
     raw = _read_input(args.input)
-    digest = hashlib.sha256(raw).hexdigest()
     if args.text:
-        return normalize_text(raw.tobytes()), digest
+        return normalize_text(raw.tobytes())
     if args.alphabet_map:
         alphabet = _read_alphabet_map(args.alphabet_map)
     else:
         # two symbols at least, so an empty or all-zero file reads as binary
         top = int(raw.max(initial=1))
         alphabet = Alphabet(tuple(str(i) for i in range(top + 1)))
-    return SymbolStream(raw, alphabet), digest
+    return SymbolStream(raw, alphabet)
 
 
-def _estimator_config(args, k: int) -> tuple[EstimatorConfig, dict]:
-    """The run's estimator config, and its resolved record for the manifest."""
-    cfg = EstimatorConfig(
+def _estimator_config(args) -> EstimatorConfig:
+    return EstimatorConfig(
         epsilon=args.epsilon,
         alpha=args.alpha,
         sample_size=args.samples,
         max_extension_length=args.ext_max,
         min_count=args.nmin,
     )
-    record = {
-        "epsilon": cfg.epsilon,
-        "alpha": cfg.alpha,
-        "samples": cfg.resolved_sample_size(k),
-        "ext_max": cfg.resolved_extension_length(k),
-        "nmin": cfg.min_count,
-        "search_length": args.search_length,
-        "collect_min": args.collect_min,
-        "text": args.text,
-    }
-    return cfg, record
 
 
 def _estimate(stream: SymbolStream, cfg: EstimatorConfig, args):
@@ -174,9 +170,8 @@ def _word_label(alphabet: Alphabet, word, human: bool) -> str:
 
 
 def cmd_estimate(args) -> int:
-    stream, input_digest = _load_stream(args)
-    cfg, record = _estimator_config(args, stream.alphabet.size)
-    digest = _digest("estimate", dict(record, method=args.method), input_digest)
+    stream = _load_stream(args)
+    cfg = _estimator_config(args)
     columns = [
         "h",
         "E",
@@ -213,17 +208,16 @@ def cmd_estimate(args) -> int:
             f"bound          {report.bound:.6f}{flag} at alpha {report.alpha:g}",
             f"tolerance      {report.epsilon_star:.6f}",
             f"sync word      {word} (frequency {report.sync_frequency:.6f})",
-            f"samples        {report.samples_used} used, "
-            f"{report.samples_discarded} discarded",
             f"words          {report.cluster_count}",
             f"stream         {report.stream_length} symbols",
         ]
-    _emit(_tsv_lines(columns, [row], digest) if args.tsv else human, args.out)
+    lines = _tsv_lines(columns, [row], _digest(args, stream)) if args.tsv else human
+    _emit(lines, args.out)
     return 0
 
 
 def cmd_sync(args) -> int:
-    stream, input_digest = _load_stream(args)
+    stream = _load_stream(args)
     length, min_count = search_settings(
         stream,
         args.epsilon,
@@ -242,12 +236,6 @@ def cmd_sync(args) -> int:
     if not args.tsv:
         _emit(summary, args.out)
         return 0
-    config = {
-        "epsilon": args.epsilon,
-        "search_length": length,
-        "collect_min": min_count,
-        "text": args.text,
-    }
     columns = ["string", "count"] + [f"p_{c}" for c in stream.alphabet.labels]
     rows = []
     for word, (dist, cnt) in derivs.entries.items():
@@ -255,7 +243,7 @@ def cmd_sync(args) -> int:
             [_word_label(stream.alphabet, word, human=False), cnt]
             + [float(v) for v in dist]
         )
-    _emit(_tsv_lines(columns, rows, _digest("sync", config, input_digest)), args.out)
+    _emit(_tsv_lines(columns, rows, _digest(args, stream)), args.out)
     print("\n".join(summary), file=sys.stderr)
     return 0
 
@@ -265,29 +253,19 @@ def cmd_bounds(args) -> int:
     lengths = _whole_list(args.lengths, "--lengths")
     k = args.alphabet_size
     samples = args.samples if args.samples is not None else default_sample_size(k)
-    config = {
-        "alphabet_size": k,
-        "alphas": alphas,
-        "samples": samples,
-        "p0": args.p0,
-        "lengths": lengths,
-    }
     curves = [bound_curve(k, a, samples, args.p0, lengths) for a in alphas]
     columns = ["length"] + [f"E_alpha{a:g}" for a in alphas]
     rows = []
     for i, n in enumerate(lengths):
         rows.append([n] + [curves[j][i][1] for j in range(len(alphas))])
-    _emit(_tsv_lines(columns, rows, _digest("bounds", config, "")), args.out)
+    _emit(_tsv_lines(columns, rows, _digest(args)), args.out)
     return 0
 
 
 def cmd_benchmark(args) -> int:
-    stream, input_digest = _load_stream(args)
+    stream = _load_stream(args)
     marks = _whole_list(args.checkpoints, "--checkpoints")
-    cfg, record = _estimator_config(args, stream.alphabet.size)
-    digest = _digest(
-        "benchmark", dict(record, checkpoints=marks, method="both"), input_digest
-    )
+    cfg = _estimator_config(args)
     lz_rows = dict(lz78_curve(stream, marks))
     rows = []
     for n in marks:
@@ -297,7 +275,8 @@ def cmd_benchmark(args) -> int:
         except InsufficientDataError:  # a prefix too short: blank columns
             h_main, e_main = None, None
         rows.append([n, h_main, e_main, lz_rows[n]])
-    _emit(_tsv_lines(["length", "h_main", "E_main", "h_lz"], rows, digest), args.out)
+    columns = ["length", "h_main", "E_main", "h_lz"]
+    _emit(_tsv_lines(columns, rows, _digest(args, stream)), args.out)
     return 0
 
 

@@ -152,10 +152,10 @@ def solve_uncertainty(
     entropy rate in [0, log2(k)] does not, so it is also reported as
     log2(k), flagged vacuous, with the solved tolerance kept.
     """
-    if alphabet_size < 2:
+    if not is_length(alphabet_size) or alphabet_size < 2:
         raise InvalidParameterError("alphabet must have at least two symbols")
-    if stream_length < 1 or sample_count < 1:
-        raise InvalidParameterError("stream_length and sample_count must be positive")
+    if not all(is_length(n) and n >= 1 for n in (stream_length, sample_count)):
+        raise InvalidParameterError("stream_length and sample_count must be positive integers")
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha}")
     if sync_frequency is not None and not 0.0 < sync_frequency <= 1.0:

@@ -111,7 +111,7 @@ def iid_stream(probs, n: int, seed: int = 0) -> SymbolStream:
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size < 2:
         raise InvalidParameterError("distribution needs at least two symbols")
-    if p.min() < 0.0 or abs(p.sum() - 1.0) > 1e-9:
+    if not np.isfinite(p).all() or p.min() < 0.0 or abs(p.sum() - 1.0) > 1e-9:
         raise InvalidParameterError("probabilities must be non-negative and sum to 1")
     if not is_length(n) or n < 1:
         raise InvalidParameterError(f"stream length must be a positive integer, got {n!r}")

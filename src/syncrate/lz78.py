@@ -28,7 +28,7 @@ from array import array
 import numpy as np
 
 from .errors import InvalidInputError
-from .streams import SymbolStream
+from .streams import SymbolStream, is_length
 
 __all__ = [
     "parse_lz78",
@@ -117,7 +117,7 @@ def lz78_curve(
 ) -> list[tuple[int, float]]:
     """Estimate over stream prefixes, from one parse.
 
-    ``checkpoints`` must be ascending lengths within the stream.  Each
+    ``checkpoints`` must be ascending integer lengths within the stream.  Each
     row is ``(length, estimate)`` where the estimate counts phrases of
     the prefix, including a partial one in progress.  The parse runs
     over the stream up to the last checkpoint only; because the
@@ -128,6 +128,8 @@ def lz78_curve(
     """
     if not checkpoints:
         return []
+    if not all(map(is_length, checkpoints)):
+        raise InvalidInputError(f"checkpoints must be whole numbers, got {checkpoints!r}")
     marks = [int(m) for m in checkpoints]
     if any(b <= a for a, b in zip(marks, marks[1:])):
         raise InvalidInputError("checkpoints must be strictly ascending")

@@ -25,7 +25,6 @@ from syncrate import (
     lz78_entropy_estimate,
 )
 from syncrate.cli import _load_stream, main
-from syncrate.estimator import default_sample_size
 from syncrate.pfsa import (
     analytical_entropy_rate,
     format_pfsa,
@@ -290,49 +289,80 @@ class TestBenchmark:
         assert abs(h_main - truth) < abs(h_lz - truth)
 
 
-def _layout_digest(subcommand, config, input_digest):
+def _layout_digest(flags, symbols, labels):
     run = {
-        "config": config,
-        "input_digest": input_digest,
-        "subcommand": subcommand,
+        "flags": flags,
+        "labels": labels,
+        "symbols": symbols,
         "version": syncrate.__version__,
     }
     blob = json.dumps(run, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-ESTIMATE_RECORD = {
-    "epsilon": 0.05, "alpha": 0.95, "samples": 100_000, "ext_max": 4,
-    "nmin": 200, "search_length": 1, "collect_min": 200, "text": False,
+ESTIMATE_PARSED = {
+    "text": False, "epsilon": 0.05, "alpha": 0.95, "samples": 100_000,
+    "ext_max": 4, "nmin": 200, "search_length": 1, "collect_min": 200,
 }
 
 
 @pytest.mark.parametrize(
-    "argv,config,reads_input",
+    "argv,flags,reads_input",
     [
         (["estimate", "--tsv"] + ESTIMATE_FLAGS,
-         dict(ESTIMATE_RECORD, method="paper"), True),
+         dict(ESTIMATE_PARSED, command="estimate", method="paper", tsv=True),
+         True),
         (["sync", "--tsv", "--search-length", "2", "--collect-min", "200"],
-         {"epsilon": 0.05, "search_length": 2, "collect_min": 200, "text": False},
+         {"command": "sync", "text": False, "epsilon": 0.05,
+          "search_length": 2, "collect_min": 200, "tsv": True},
          True),
         (["bounds", "--alphabet-size", "27", "--alpha", "0.95,0.99",
           "--lengths", "1000000,5000000"],
-         {"alphabet_size": 27, "alphas": [0.95, 0.99],
-          "samples": default_sample_size(27), "p0": None,
-          "lengths": [1_000_000, 5_000_000]},
+         {"command": "bounds", "alphabet_size": 27, "alpha_list": "0.95,0.99",
+          "samples": None, "p0": None, "lengths": "1000000,5000000"},
          False),
         (["benchmark", "--checkpoints", "10000,30000"] + ESTIMATE_FLAGS,
-         dict(ESTIMATE_RECORD, checkpoints=[10_000, 30_000], method="both"), True),
+         dict(ESTIMATE_PARSED, command="benchmark", checkpoints="10000,30000"),
+         True),
     ],
     ids=["estimate", "sync", "bounds", "benchmark"],
 )
-def test_manifest_digest_layout(argv, config, reads_input, workdir, capsys):
+def test_manifest_digest_layout(argv, flags, reads_input, workdir, capsys):
+    # the flags as parsed, less input and output paths, plus the symbols,
+    # their labels and the version
     raw = workdir / "sync.raw"
-    input_digest = hashlib.sha256(raw.read_bytes()).hexdigest() if reads_input else ""
+    if reads_input:
+        symbols, labels = hashlib.sha256(raw.read_bytes()).hexdigest(), ["0", "1"]
+    else:
+        symbols, labels = None, None
     code, out, _ = run(argv + (["--input", str(raw)] if reads_input else []), capsys)
     assert code == 0
-    expected = _layout_digest(argv[0], config, input_digest)
+    expected = _layout_digest(flags, symbols, labels)
     assert out.splitlines()[1] == f"# manifest: {expected}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["estimate", "--tsv"] + ESTIMATE_FLAGS,
+     ["sync", "--tsv", "--search-length", "2", "--collect-min", "200"]],
+    ids=["estimate", "sync"],
+)
+def test_manifest_covers_the_labels(argv, workdir, capsys, tmp_path):
+    # one stream under two maps that differ only in their labels
+    outputs = []
+    for labels in ("a\nb\n", "x\ny\n"):
+        path = tmp_path / "labels.txt"
+        path.write_text(labels)
+        code, out, _ = run(
+            argv + ["--input", str(workdir / "sync.raw"), "--alphabet-map", str(path)],
+            capsys,
+        )
+        assert code == 0
+        lines = out.splitlines()
+        outputs.append((lines[1], lines[:1] + lines[2:]))
+    (manifest_ab, table_ab), (manifest_xy, table_xy) = outputs
+    assert table_ab != table_xy
+    assert manifest_ab != manifest_xy
 
 
 class TestGenerate:
@@ -616,7 +646,7 @@ def test_load_stream_holds_one_byte_per_symbol(tmp_path):
     args = argparse.Namespace(input=str(path), alphabet_map=None, text=False)
     tracemalloc.start()
     try:
-        stream, _digest = _load_stream(args)
+        stream = _load_stream(args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -637,7 +667,7 @@ def test_load_stream_alphabet_rule(symbols, labels, tmp_path):
     path = tmp_path / "in.raw"
     np.array(symbols, dtype=np.uint8).tofile(path)
     args = argparse.Namespace(input=str(path), alphabet_map=None, text=False)
-    stream, _digest = _load_stream(args)
+    stream = _load_stream(args)
     assert stream.alphabet.labels == labels
     assert (stream.alphabet == BINARY) == (len(labels) == 2)
 

@@ -303,6 +303,13 @@ class TestSolveUncertainty:
             solve_uncertainty(10, 2, 0.95, 10, sync_frequency=0.0)
         with pytest.raises(InvalidParameterError):
             solve_uncertainty(10, 2, 0.95, 10, sync_frequency=1.5)
+        for args in [
+            (math.nan, 2, 0.95, 10),
+            (100, 2, 0.95, math.nan),
+            (100, 2.5, 0.95, 10),
+        ]:
+            with pytest.raises(InvalidParameterError):
+                solve_uncertainty(*args)
 
 
 class TestBoundCurve:

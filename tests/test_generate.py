@@ -181,6 +181,9 @@ class TestIidStream:
             iid_stream([0.6, 0.6], 10)
         with pytest.raises(InvalidParameterError):
             iid_stream([-0.1, 1.1], 10)
+        for probs in ([float("nan"), 0.5], [0.5, float("nan")]):
+            with pytest.raises(InvalidParameterError):
+                iid_stream(probs, 10)
         with pytest.raises(InvalidParameterError):
             iid_stream([0.5, 0.5], 0)
         for n in (1e3, 10.0, True):

@@ -225,3 +225,6 @@ class TestCurve:
             lz78_curve(stream_of([0, 1, 0, 1]), [2, 9])
         with pytest.raises(InvalidInputError, match="between 1"):
             lz78_curve(stream_of([0, 1, 0, 1]), [0, 2])
+        for mark in (2.5, float("nan")):
+            with pytest.raises(InvalidInputError, match="whole numbers"):
+                lz78_curve(stream_of([0, 1, 0, 1]), [mark])
