@@ -13,7 +13,6 @@ from .errors import (
     ImpossibleEvolutionError,
     InsufficientDataError,
     InvalidInputError,
-    InvalidParameterError,
     NumericError,
     ResourceLimitError,
 )

@@ -18,12 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (
-    EstimationError,
-    InsufficientDataError,
-    InvalidInputError,
-    InvalidParameterError,
-)
+from .errors import EstimationError, InsufficientDataError, InvalidInputError
 from .estimator import (
     EstimatorConfig,
     bound_curve,
@@ -98,6 +93,9 @@ def _read_alphabet_map(path: str) -> Alphabet:
         lines.pop()
     if any(line == "" for line in lines):
         raise InvalidInputError(f"empty label line in alphabet map {path}")
+    if any("\t" in line for line in lines):
+        # a tab would split the label across TSV columns
+        raise InvalidInputError(f"tab in a label of alphabet map {path}")
     return Alphabet(tuple(lines))
 
 
@@ -108,7 +106,7 @@ def _number_list(text: str, flag: str) -> list[float]:
     except ValueError:
         values = []
     if not values or not all(map(math.isfinite, values)):
-        raise InvalidParameterError(f"{flag} needs finite numbers, got {text!r}")
+        raise InvalidInputError(f"{flag} needs finite numbers, got {text!r}")
     return values
 
 
@@ -116,7 +114,7 @@ def _whole_list(text: str, flag: str) -> list[int]:
     """Like ``_number_list``, refusing any value with a fractional part."""
     values = _number_list(text, flag)
     if not all(v.is_integer() for v in values):
-        raise InvalidParameterError(f"{flag} needs whole numbers, got {text!r}")
+        raise InvalidInputError(f"{flag} needs whole numbers, got {text!r}")
     return [int(v) for v in values]
 
 
@@ -283,7 +281,7 @@ def cmd_benchmark(args) -> int:
 def cmd_generate(args) -> int:
     if args.source == "pfsa":
         if not args.model:
-            raise InvalidParameterError("--source pfsa needs --model")
+            raise InvalidInputError("--source pfsa needs --model")
         machine = load_pfsa(args.model)
         stream = simulate(machine, args.n, seed=args.seed)
     elif args.source == "chaos":
@@ -295,7 +293,7 @@ def cmd_generate(args) -> int:
         stream = iid_stream(probs, args.n, seed=args.seed)
     else:
         if not args.input:
-            raise InvalidParameterError("--source text needs --input")
+            raise InvalidInputError("--source text needs --input")
         stream = normalize_text(_read_input(args.input).tobytes())
     stream.data.tofile(args.out)
     with open(args.out + ".alphabet", "w", encoding="utf-8") as fh:

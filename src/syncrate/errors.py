@@ -6,11 +6,8 @@ class EstimationError(Exception):
 
 
 class InvalidInputError(EstimationError, ValueError):
-    """Malformed argument: unknown symbol, bad distribution, bad file."""
-
-
-class InvalidParameterError(EstimationError, ValueError):
-    """Parameter outside its documented domain."""
+    """Bad argument: a parameter outside its documented domain, a size that
+    is not an integer, an unknown symbol, a bad distribution or file."""
 
 
 class ResourceLimitError(EstimationError):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidParameterError
-from .streams import CountTable, SymbolStream, build_count_table, entropy, is_length
+from .errors import InsufficientDataError, InvalidInputError
+from .streams import CountTable, SymbolStream, build_count_table, check_size, entropy
 from .sync import SyncResult, candidate_length, collect_derivatives, find_sync_string
 
 _BOUNDARY_TOL = 1e-9
@@ -30,8 +30,7 @@ def default_sample_size(alphabet_size: int) -> int:
     It targets the regime where the sampling penalty in the bound is
     negligible.
     """
-    if alphabet_size < 2:
-        raise InvalidParameterError("alphabet must have at least two symbols")
+    check_size(alphabet_size, "alphabet_size", 2)
     return round(1e7 * math.log2(alphabet_size) ** 2)
 
 
@@ -55,21 +54,16 @@ class EstimatorConfig:
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
-            raise InvalidParameterError(
+            raise InvalidInputError(
                 f"epsilon must lie in (0, 1), got {self.epsilon}"
             )
         if not 0.0 < self.alpha < 1.0:
-            raise InvalidParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
-        size = self.sample_size
-        if size is not None and (not is_length(size) or size < 1):
-            raise InvalidParameterError(f"sample_size must be a positive integer, got {size!r}")
-        ext = self.max_extension_length
-        if ext is not None and (not is_length(ext) or ext < 0):
-            raise InvalidParameterError(
-                f"max_extension_length must be a non-negative integer, got {ext!r}"
-            )
-        if not is_length(self.min_count) or self.min_count < 0:
-            raise InvalidParameterError("min_count must be a non-negative integer")
+            raise InvalidInputError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.sample_size is not None:
+            check_size(self.sample_size, "sample_size", 1)
+        if self.max_extension_length is not None:
+            check_size(self.max_extension_length, "max_extension_length")
+        check_size(self.min_count, "min_count")
 
     def resolved_sample_size(self, alphabet_size: int) -> int:
         if self.sample_size is not None:
@@ -93,9 +87,8 @@ def gen_binary_entropy(eps: float, alphabet_size: int) -> float:
     full log2 of the alphabet size.
     """
     if not 0.0 <= eps <= 1.0:
-        raise InvalidParameterError(f"eps must lie in [0, 1], got {eps}")
-    if alphabet_size < 2:
-        raise InvalidParameterError("alphabet must have at least two symbols")
+        raise InvalidInputError(f"eps must lie in [0, 1], got {eps}")
+    check_size(alphabet_size, "alphabet_size", 2)
     if eps == 0.0:
         return 0.0
     if eps == 1.0:
@@ -152,14 +145,13 @@ def solve_uncertainty(
     entropy rate in [0, log2(k)] does not, so it is also reported as
     log2(k), flagged vacuous, with the solved tolerance kept.
     """
-    if not is_length(alphabet_size) or alphabet_size < 2:
-        raise InvalidParameterError("alphabet must have at least two symbols")
-    if not all(is_length(n) and n >= 1 for n in (stream_length, sample_count)):
-        raise InvalidParameterError("stream_length and sample_count must be positive integers")
+    check_size(alphabet_size, "alphabet_size", 2)
+    check_size(stream_length, "stream_length", 1)
+    check_size(sample_count, "sample_count", 1)
     if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha}")
+        raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
     if sync_frequency is not None and not 0.0 < sync_frequency <= 1.0:
-        raise InvalidParameterError("sync_frequency must lie in (0, 1]")
+        raise InvalidInputError("sync_frequency must lie in (0, 1]")
 
     c0 = (8.0 / math.e + 8.0 / math.e**2) * (alphabet_size - 1)
     c1 = 2.0 / math.log2(alphabet_size) ** 2
@@ -203,9 +195,9 @@ def bound_curve(
     """Uncertainty bound per stream length, as (length, bound) rows."""
     lengths = [int(n) for n in lengths]
     if not lengths or any(n < 1 for n in lengths):
-        raise InvalidParameterError("lengths must be positive")
+        raise InvalidInputError("lengths must be positive")
     if lengths != sorted(lengths):
-        raise InvalidParameterError("lengths must be ascending")
+        raise InvalidInputError("lengths must be ascending")
     rows = []
     for n in lengths:
         _eps, bound, _vac = solve_uncertainty(

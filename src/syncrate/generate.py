@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
-from .streams import BINARY, DRAW_BLOCK, Alphabet, SymbolStream, is_length
+from .errors import InvalidInputError
+from .streams import BINARY, DRAW_BLOCK, Alphabet, SymbolStream, check_size
 
 __all__ = [
     "TEXT27",
@@ -47,19 +47,13 @@ class ChaoticMapConfig:
 
     def __post_init__(self):
         if not 0.0 < self.r <= 2.0:
-            raise InvalidParameterError(f"map parameter must lie in (0, 2], got {self.r}")
+            raise InvalidInputError(f"map parameter must lie in (0, 2], got {self.r}")
         if not -1.0 < self.x0 < 1.0:
-            raise InvalidParameterError(
+            raise InvalidInputError(
                 f"initial condition must lie in (-1, 1), got {self.x0}"
             )
-        if not is_length(self.n) or self.n < 1:
-            raise InvalidParameterError(
-                f"output length must be a positive integer, got {self.n!r}"
-            )
-        if not is_length(self.burn_in) or self.burn_in < 0:
-            raise InvalidParameterError(
-                f"burn_in must be a non-negative integer, got {self.burn_in!r}"
-            )
+        check_size(self.n, "output length", 1)
+        check_size(self.burn_in, "burn_in")
 
 
 def chaotic_stream(cfg: ChaoticMapConfig) -> SymbolStream:
@@ -110,11 +104,11 @@ def iid_stream(probs, n: int, seed: int = 0) -> SymbolStream:
     """
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size < 2:
-        raise InvalidParameterError("distribution needs at least two symbols")
+        raise InvalidInputError("distribution needs at least two symbols")
     if not np.isfinite(p).all() or p.min() < 0.0 or abs(p.sum() - 1.0) > 1e-9:
-        raise InvalidParameterError("probabilities must be non-negative and sum to 1")
-    if not is_length(n) or n < 1:
-        raise InvalidParameterError(f"stream length must be a positive integer, got {n!r}")
+        raise InvalidInputError("probabilities must be non-negative and sum to 1")
+    check_size(n, "stream length", 1)
+    check_size(seed, "seed")
     alphabet = Alphabet(tuple(str(i) for i in range(p.size)))
     cdf = (p / p.sum()).cumsum()
     cdf /= cdf[-1]

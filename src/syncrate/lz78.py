@@ -28,7 +28,7 @@ from array import array
 import numpy as np
 
 from .errors import InvalidInputError
-from .streams import SymbolStream, is_length
+from .streams import SymbolStream, check_size
 
 __all__ = [
     "parse_lz78",
@@ -128,14 +128,14 @@ def lz78_curve(
     """
     if not checkpoints:
         return []
-    if not all(map(is_length, checkpoints)):
-        raise InvalidInputError(f"checkpoints must be whole numbers, got {checkpoints!r}")
+    for m in checkpoints:
+        check_size(m, "checkpoint", 1)
     marks = [int(m) for m in checkpoints]
     if any(b <= a for a, b in zip(marks, marks[1:])):
         raise InvalidInputError("checkpoints must be strictly ascending")
-    if marks[0] < 1 or marks[-1] > len(stream):
+    if marks[-1] > len(stream):
         raise InvalidInputError(
-            "checkpoints must lie between 1 and the stream length"
+            f"checkpoint {marks[-1]} beyond the stream length {len(stream)}"
         )
     ends = _parse(stream.data[: marks[-1]])
     before = np.searchsorted(ends, marks, side="left")

@@ -16,12 +16,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import (
-    ImpossibleEvolutionError,
-    InvalidInputError,
-    NumericError,
-)
-from .streams import DRAW_BLOCK, Alphabet, BINARY, SymbolStream, entropy, is_length
+from .errors import ImpossibleEvolutionError, InvalidInputError, NumericError
+from .streams import DRAW_BLOCK, Alphabet, BINARY, SymbolStream, check_size, entropy
 
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
@@ -98,7 +94,8 @@ def markov_matrix(p: Pfsa) -> np.ndarray:
 
 def transformation_matrix(p: Pfsa, symbol: int) -> np.ndarray:
     """Per-symbol evolution matrix: entry (i, delta(i, symbol)) = pi(i, symbol)."""
-    if not 0 <= symbol < p.alphabet.size:
+    check_size(symbol, "symbol index")
+    if symbol >= p.alphabet.size:
         raise InvalidInputError(f"symbol index {symbol} outside alphabet")
     q = p.n_states
     g = np.zeros((q, q))
@@ -141,16 +138,25 @@ def analytical_entropy_rate(p: Pfsa) -> float:
     return float(sum(d[i] * entropy(p.pi[i]) for i in range(p.n_states)))
 
 
+def _state_distribution(p: Pfsa, dist) -> np.ndarray:
+    """``dist`` as a float array, refused unless it is a distribution over
+    the machine's states: shape (Q,), finite, non-negative, summing to 1."""
+    d = np.asarray(dist, dtype=float)
+    if d.shape != (p.n_states,) or not np.isfinite(d).all() or (d < 0).any():
+        raise InvalidInputError(
+            f"state distribution must be {p.n_states} finite non-negative numbers"
+        )
+    if abs(d.sum() - 1.0) > 1e-9:
+        raise InvalidInputError("state distribution must sum to 1")
+    return d
+
+
 def evolve(p: Pfsa, dist, word) -> np.ndarray:
     """Push a state distribution through a word: after each symbol s it is
     ``d @ transformation_matrix(p, s)``, renormalized.  Raises
     ImpossibleEvolutionError if the word has zero probability from every
     state with mass."""
-    d = np.asarray(dist, dtype=float)
-    if d.shape != (p.n_states,) or (d < 0).any():
-        raise InvalidInputError("state distribution has wrong shape or sign")
-    if abs(d.sum() - 1.0) > 1e-9:
-        raise InvalidInputError("state distribution must sum to 1")
+    d = _state_distribution(p, dist)
     for pos, symbol in enumerate(word):
         nxt = d @ transformation_matrix(p, symbol)
         total = nxt.sum()
@@ -165,10 +171,7 @@ def evolve(p: Pfsa, dist, word) -> np.ndarray:
 
 def symbol_distribution(p: Pfsa, dist) -> np.ndarray:
     """Next-symbol distribution seen from a state distribution."""
-    d = np.asarray(dist, dtype=float)
-    if d.shape != (p.n_states,):
-        raise InvalidInputError("state distribution has wrong shape")
-    return d @ p.pi
+    return _state_distribution(p, dist) @ p.pi
 
 
 def simulate(p: Pfsa, n: int, seed=None, initial_state=None) -> SymbolStream:
@@ -200,16 +203,16 @@ def simulate(p: Pfsa, n: int, seed=None, initial_state=None) -> SymbolStream:
     0.10-0.13 s against 0.20-0.25 s), so the constant keeps a margin of
     about two.
     """
-    if not is_length(n) or n < 0:
-        raise InvalidInputError(
-            f"stream length must be a non-negative integer, got {n!r}"
-        )
+    check_size(n, "stream length")
+    if seed is not None:
+        check_size(seed, "seed")
     rng = np.random.default_rng(seed)
     if initial_state is None:
         state = int(rng.choice(p.n_states, p=stationary_distribution(p)))
     else:
+        check_size(initial_state, "initial state")
         state = int(initial_state)
-        if not 0 <= state < p.n_states:
+        if state >= p.n_states:
             raise InvalidInputError(f"initial state {state} out of range")
     cum = np.cumsum(p.pi, axis=1)
     cum[:, -1] = 1.0

@@ -24,7 +24,7 @@ import numbers
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError
 
 # Words are packed into codes, digit i weighted by k**(L-1-i).  The build
 # encodes and sorts windows in the narrowest of these dtypes that holds
@@ -45,11 +45,17 @@ DRAW_BLOCK = 1 << 16
 MAX_TABLE_ENTRIES = 200_000_000
 
 
-def is_length(n) -> bool:
-    """True for an int or NumPy integer other than a bool.  Sizes are checked
-    with it, so 1e3, 2.5 or True is refused with the caller's typed error
-    instead of reaching NumPy or ``range`` as a bare TypeError."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+def check_size(value, name: str, minimum: int = 0) -> None:
+    """Refuse with InvalidInputError anything but an int or NumPy integer,
+    bools excluded, of at least ``minimum``.  Sizes, counts, seeds and
+    indices pass through it, so 1e3, 2.5, True or NaN gets a typed error
+    naming the argument instead of reaching NumPy or ``range``."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integral or value < minimum:
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            minimum, f"an integer of at least {minimum}"
+        )
+        raise InvalidInputError(f"{name} must be {kind}, got {value!r}")
 
 
 class Alphabet:
@@ -125,8 +131,7 @@ class SymbolStream:
         self.alphabet = alphabet
 
     def prefix(self, n: int) -> "SymbolStream":
-        if not is_length(n) or n < 0:
-            raise InvalidInputError(f"prefix length must be a non-negative integer, got {n!r}")
+        check_size(n, "prefix length")
         return SymbolStream(self.data[:n], self.alphabet)
 
     def __len__(self):
@@ -259,9 +264,8 @@ class CountTable:
         occurrences.  The next length's words are the row entries, so each
         level is read once; no word outnumbers its prefix, so none is missed.
         The root's count is ``count(root)``, zero below the table's root."""
-        for name, size in (("depth", depth), ("count floor", floor)):
-            if not is_length(size) or size < 0:
-                raise InvalidParameterError(f"{name} must be a non-negative integer, got {size!r}")
+        check_size(depth, "depth")
+        check_size(floor, "count floor")
         if depth > self.max_len:
             raise InvalidInputError(
                 f"count table covers words up to length {self.max_len}, walk needs {depth}"
@@ -370,8 +374,7 @@ def build_count_table(s: SymbolStream, max_len: int, root=()) -> CountTable:
     min(n, k**(top - len(root))): at most one per window and one per code of
     the symbols behind the root.  Refuses codes that would overflow int64.
     """
-    if not is_length(max_len) or max_len < 0:
-        raise InvalidInputError(f"max_len must be a non-negative integer, got {max_len!r}")
+    check_size(max_len, "max_len")
     k = s.alphabet.size
     n = len(s)
     depth = max_len + 1

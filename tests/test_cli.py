@@ -268,7 +268,7 @@ class TestBounds:
         )
         assert code == 1
         assert out == ""
-        assert "alphabet must have at least two symbols" in err
+        assert "alphabet_size must be an integer of at least 2" in err
 
 
 class TestBenchmark:
@@ -424,6 +424,18 @@ class TestGenerate:
         )
         assert code == 0
         assert (workdir / "i.raw.alphabet").read_text() == "0\n1\n2\n"
+
+    @pytest.mark.parametrize(
+        "source",
+        [["iid"], ["pfsa", "--model", "{workdir}/sync.pfsa"]],
+        ids=["iid", "pfsa"],
+    )
+    def test_negative_seed_is_one(self, source, workdir, tmp_path, capsys):
+        argv = ["generate", "--source"] + [a.format(workdir=workdir) for a in source]
+        code, _, err = run(argv + ["--seed", "-1", "--out", str(tmp_path / "x.raw")], capsys)
+        assert code == 1
+        assert err.startswith("syncrate: ") and "seed" in err
+        assert "Traceback" not in err
 
 
 class TestExitCodes:
@@ -624,6 +636,9 @@ class TestEdgeInputs:
             (["estimate"], b"a\n\xff\xfe\nc\n"),  # not UTF-8
             (["sync"], b"a\n\nc\n"),  # an empty label line
             (["estimate"], "\n".join(map(str, range(257))).encode()),  # 257 labels
+            # a tab would split the label across TSV columns
+            (["sync", "--tsv"], b"a\tx\nb\nc\n"),
+            (["estimate", "--tsv"], b"a\tx\nb\nc\n"),
         ],
     )
     def test_bad_alphabet_map_is_one(self, argv, labels, tmp_path, capsys):

@@ -223,8 +223,5 @@ class TestCurve:
     def test_checkpoints_must_fit_stream(self):
         with pytest.raises(InvalidInputError, match="stream length"):
             lz78_curve(stream_of([0, 1, 0, 1]), [2, 9])
-        with pytest.raises(InvalidInputError, match="between 1"):
+        with pytest.raises(InvalidInputError, match="positive integer"):
             lz78_curve(stream_of([0, 1, 0, 1]), [0, 2])
-        for mark in (2.5, float("nan")):
-            with pytest.raises(InvalidInputError, match="whole numbers"):
-                lz78_curve(stream_of([0, 1, 0, 1]), [mark])

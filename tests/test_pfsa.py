@@ -227,8 +227,18 @@ class TestEvolve:
             evolve(p, np.full(5, 0.2), (1,))
 
     def test_bad_distribution(self):
-        with pytest.raises(InvalidInputError):
-            evolve(two_state_synchronizable(), [0.3, 0.3], (0,))
+        p = two_state_synchronizable()
+        for dist in ([0.3, 0.3], [np.nan, 0.5], [0.9, 0.9], [1.0], [-0.5, 1.5]):
+            with pytest.raises(InvalidInputError, match="state distribution"):
+                evolve(p, dist, (0,))
+
+    def test_non_integral_symbol(self):
+        p = two_state_synchronizable()
+        for symbol in (0.5, 2, -1):
+            with pytest.raises(InvalidInputError, match="symbol index"):
+                transformation_matrix(p, symbol)
+            with pytest.raises(InvalidInputError, match="symbol index"):
+                evolve(p, [0.5, 0.5], [symbol])
 
 
 class TestSymbolDistribution:
@@ -241,6 +251,12 @@ class TestSymbolDistribution:
     def test_degenerate_state(self):
         p = two_state_synchronizable()
         np.testing.assert_allclose(symbol_distribution(p, [0.0, 1.0]), [0.25, 0.75])
+
+    def test_bad_distribution(self):
+        p = two_state_synchronizable()
+        for dist in ([np.nan, 0.5], [0.9, 0.9], [1.0]):
+            with pytest.raises(InvalidInputError, match="state distribution"):
+                symbol_distribution(p, dist)
 
 
 class TestSimulate:
@@ -265,6 +281,10 @@ class TestSimulate:
         p = ring_machine(4)
         s = simulate(p, 4, seed=0, initial_state=0)
         assert len(s) == 4
+        assert len(simulate(p, 4, seed=0, initial_state=np.int64(3))) == 4
+        for state in (1.7, "1", 4, -1):
+            with pytest.raises(InvalidInputError, match="initial state"):
+                simulate(p, 4, seed=0, initial_state=state)
 
     @pytest.mark.parametrize(
         "n",

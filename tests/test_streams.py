@@ -8,13 +8,24 @@ from hypothesis import strategies as st
 from syncrate import (
     BINARY,
     Alphabet,
+    ChaoticMapConfig,
+    EstimatorConfig,
     InvalidInputError,
     ResourceLimitError,
     SymbolStream,
     build_count_table,
+    candidate_length,
     entropy,
+    gen_binary_entropy,
+    iid_stream,
+    lz78_curve,
+    simulate,
+    solve_uncertainty,
     streams,
+    transformation_matrix,
+    two_state_synchronizable,
 )
+from syncrate.estimator import default_sample_size
 
 
 def naive_count(seq, word):
@@ -535,3 +546,50 @@ class TestEntropy:
         assert h.shape == (2, rows)
         for got, dist in zip(h.ravel(), p.reshape(-1, k)):
             assert got == pytest.approx(entropy(dist), rel=1e-12, abs=1e-15)
+
+
+def _table():
+    return build_count_table(stream_from("0101"), 2)
+
+
+# every public size, count, seed and index argument, as the name its error
+# gives and a call that passes the value there
+SIZE_ARGUMENTS = [
+    ("prefix length", lambda v: stream_from("0101").prefix(v)),
+    ("depth", lambda v: list(_table().walk((), 1, v))),
+    ("count floor", lambda v: list(_table().walk((), v, 2))),
+    ("max_len", lambda v: build_count_table(stream_from("0101"), v)),
+    ("sample_size", lambda v: EstimatorConfig(epsilon=0.1, sample_size=v)),
+    ("max_extension_length", lambda v: EstimatorConfig(epsilon=0.1, max_extension_length=v)),
+    ("min_count", lambda v: EstimatorConfig(epsilon=0.1, min_count=v)),
+    ("alphabet_size", lambda v: solve_uncertainty(100, v, 0.95, 10)),
+    ("stream_length", lambda v: solve_uncertainty(v, 2, 0.95, 10)),
+    ("sample_count", lambda v: solve_uncertainty(100, 2, 0.95, v)),
+    ("alphabet_size", lambda v: default_sample_size(v)),
+    ("alphabet_size", lambda v: gen_binary_entropy(0.1, v)),
+    ("alphabet_size", lambda v: candidate_length(0.1, v)),
+    ("output length", lambda v: ChaoticMapConfig(r=1.5, n=v)),
+    ("burn_in", lambda v: ChaoticMapConfig(r=1.5, n=10, burn_in=v)),
+    ("stream length", lambda v: iid_stream([0.5, 0.5], v)),
+    ("seed", lambda v: iid_stream([0.5, 0.5], 10, seed=v)),
+    ("stream length", lambda v: simulate(two_state_synchronizable(), v, seed=0)),
+    ("seed", lambda v: simulate(two_state_synchronizable(), 10, seed=v)),
+    ("initial state", lambda v: simulate(two_state_synchronizable(), 10, initial_state=v)),
+    ("symbol index", lambda v: transformation_matrix(two_state_synchronizable(), v)),
+    ("checkpoint", lambda v: lz78_curve(stream_from("0101"), [v])),
+]
+
+
+@pytest.mark.parametrize(
+    "bad", [1e3, 2.5, True, np.bool_(True), float("nan"), -1],
+    ids=["1e3", "2.5", "True", "numpy-True", "nan", "-1"],
+)
+@pytest.mark.parametrize(
+    "name, call", SIZE_ARGUMENTS,
+    ids=[f"{name}-{i}" for i, (name, _call) in enumerate(SIZE_ARGUMENTS)],
+)
+def test_size_arguments_refuse_non_integers(name, call, bad):
+    with pytest.raises(InvalidInputError) as info:
+        call(bad)
+    assert name in str(info.value) and repr(bad) in str(info.value)
+
