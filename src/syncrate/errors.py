@@ -6,8 +6,10 @@ class EstimationError(Exception):
 
 
 class InvalidInputError(EstimationError, ValueError):
-    """Bad argument: a parameter outside its documented domain, a size that
-    is not an integer, an unknown symbol, a bad distribution or file."""
+    """Bad argument: a size that is not an integer, a real parameter that is
+    not a real number inside its interval (named in the message), a
+    probability vector that is not finite, non-negative and summing to 1,
+    an unknown symbol, a bad machine or file."""
 
 
 class ResourceLimitError(EstimationError):

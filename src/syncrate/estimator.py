@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
-from .streams import CountTable, SymbolStream, build_count_table, check_size, entropy
+from .streams import CountTable, SymbolStream, build_count_table, check_real, check_size, entropy
 from .sync import SyncResult, candidate_length, collect_derivatives, find_sync_string
 
 _BOUNDARY_TOL = 1e-9
@@ -53,12 +53,8 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise InvalidInputError(
-                f"epsilon must lie in (0, 1), got {self.epsilon}"
-            )
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidInputError(f"alpha must lie in (0, 1), got {self.alpha}")
+        check_real(self.epsilon, "epsilon", 0, 1)
+        check_real(self.alpha, "alpha", 0, 1)
         if self.sample_size is not None:
             check_size(self.sample_size, "sample_size", 1)
         if self.max_extension_length is not None:
@@ -86,8 +82,7 @@ def gen_binary_entropy(eps: float, alphabet_size: int) -> float:
     from a corner to the uniform distribution, where it tops out at the
     full log2 of the alphabet size.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise InvalidInputError(f"eps must lie in [0, 1], got {eps}")
+    check_real(eps, "eps", 0, 1, "[]")
     check_size(alphabet_size, "alphabet_size", 2)
     if eps == 0.0:
         return 0.0
@@ -148,10 +143,9 @@ def solve_uncertainty(
     check_size(alphabet_size, "alphabet_size", 2)
     check_size(stream_length, "stream_length", 1)
     check_size(sample_count, "sample_count", 1)
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
-    if sync_frequency is not None and not 0.0 < sync_frequency <= 1.0:
-        raise InvalidInputError("sync_frequency must lie in (0, 1]")
+    check_real(alpha, "alpha", 0, 1)
+    if sync_frequency is not None:
+        check_real(sync_frequency, "sync_frequency", 0, 1, "(]")
 
     c0 = (8.0 / math.e + 8.0 / math.e**2) * (alphabet_size - 1)
     c1 = 2.0 / math.log2(alphabet_size) ** 2
@@ -193,7 +187,10 @@ def bound_curve(
     lengths,
 ) -> list:
     """Uncertainty bound per stream length, as (length, bound) rows."""
-    lengths = [int(n) for n in lengths]
+    try:
+        lengths = [int(n) for n in lengths]
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf
+        raise InvalidInputError(f"lengths must be finite numbers, got {lengths!r}") from None
     if not lengths or any(n < 1 for n in lengths):
         raise InvalidInputError("lengths must be positive")
     if lengths != sorted(lengths):

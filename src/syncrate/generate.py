@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .streams import BINARY, DRAW_BLOCK, Alphabet, SymbolStream, check_size
+from .streams import (
+    BINARY, DRAW_BLOCK, Alphabet, SymbolStream, check_distribution, check_real, check_size
+)
 
 __all__ = [
     "TEXT27",
@@ -46,12 +47,8 @@ class ChaoticMapConfig:
     burn_in: int = 10_000
 
     def __post_init__(self):
-        if not 0.0 < self.r <= 2.0:
-            raise InvalidInputError(f"map parameter must lie in (0, 2], got {self.r}")
-        if not -1.0 < self.x0 < 1.0:
-            raise InvalidInputError(
-                f"initial condition must lie in (-1, 1), got {self.x0}"
-            )
+        check_real(self.r, "map parameter", 0, 2, "(]")
+        check_real(self.x0, "initial condition", -1, 1)
         check_size(self.n, "output length", 1)
         check_size(self.burn_in, "burn_in")
 
@@ -102,11 +99,7 @@ def iid_stream(probs, n: int, seed: int = 0) -> SymbolStream:
     distribution, as ``Generator.choice`` does, and written straight into the
     one-byte stream.
     """
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1 or p.size < 2:
-        raise InvalidInputError("distribution needs at least two symbols")
-    if not np.isfinite(p).all() or p.min() < 0.0 or abs(p.sum() - 1.0) > 1e-9:
-        raise InvalidInputError("probabilities must be non-negative and sum to 1")
+    p = check_distribution(probs, "probabilities")
     check_size(n, "stream length", 1)
     check_size(seed, "seed")
     alphabet = Alphabet(tuple(str(i) for i in range(p.size)))

@@ -17,7 +17,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ImpossibleEvolutionError, InvalidInputError, NumericError
-from .streams import DRAW_BLOCK, Alphabet, BINARY, SymbolStream, check_size, entropy
+from .streams import (
+    BINARY, DRAW_BLOCK, Alphabet, SymbolStream, check_array, check_distribution, check_size, entropy
+)
 
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
@@ -38,8 +40,8 @@ class Pfsa:
 
     def __init__(self, alphabet: Alphabet, delta, pi):
         self.alphabet = alphabet
-        self.delta = np.array(delta, dtype=np.int64, copy=True)
-        self.pi = np.array(pi, dtype=np.float64, copy=True)
+        self.delta = check_array(delta, "delta", "iu").astype(np.int64)
+        self.pi = check_array(pi, "pi").astype(np.float64)
         self.delta.setflags(write=False)
         self.pi.setflags(write=False)
         validate(self)
@@ -138,25 +140,12 @@ def analytical_entropy_rate(p: Pfsa) -> float:
     return float(sum(d[i] * entropy(p.pi[i]) for i in range(p.n_states)))
 
 
-def _state_distribution(p: Pfsa, dist) -> np.ndarray:
-    """``dist`` as a float array, refused unless it is a distribution over
-    the machine's states: shape (Q,), finite, non-negative, summing to 1."""
-    d = np.asarray(dist, dtype=float)
-    if d.shape != (p.n_states,) or not np.isfinite(d).all() or (d < 0).any():
-        raise InvalidInputError(
-            f"state distribution must be {p.n_states} finite non-negative numbers"
-        )
-    if abs(d.sum() - 1.0) > 1e-9:
-        raise InvalidInputError("state distribution must sum to 1")
-    return d
-
-
 def evolve(p: Pfsa, dist, word) -> np.ndarray:
     """Push a state distribution through a word: after each symbol s it is
     ``d @ transformation_matrix(p, s)``, renormalized.  Raises
     ImpossibleEvolutionError if the word has zero probability from every
     state with mass."""
-    d = _state_distribution(p, dist)
+    d = check_distribution(dist, "state distribution", p.n_states)
     for pos, symbol in enumerate(word):
         nxt = d @ transformation_matrix(p, symbol)
         total = nxt.sum()
@@ -171,7 +160,7 @@ def evolve(p: Pfsa, dist, word) -> np.ndarray:
 
 def symbol_distribution(p: Pfsa, dist) -> np.ndarray:
     """Next-symbol distribution seen from a state distribution."""
-    return _state_distribution(p, dist) @ p.pi
+    return check_distribution(dist, "state distribution", p.n_states) @ p.pi
 
 
 def simulate(p: Pfsa, n: int, seed=None, initial_state=None) -> SymbolStream:

@@ -58,6 +58,47 @@ def check_size(value, name: str, minimum: int = 0) -> None:
         raise InvalidInputError(f"{name} must be {kind}, got {value!r}")
 
 
+def check_real(value, name: str, low, high, closed: str = "()") -> None:
+    """Refuse with InvalidInputError anything but a real number, bools
+    excluded, in the interval from ``low`` to ``high`` with the brackets
+    ``closed``, such as "(]".  NaN lies in no interval."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (low <= value if closed[0] == "[" else low < value)
+            and (value <= high if closed[1] == "]" else value < high)):
+        interval = f"{closed[0]}{low}, {high}{closed[1]}"
+        raise InvalidInputError(f"{name} must lie in {interval}, got {value!r}")
+
+
+def check_array(values, name: str, kinds: str = "iuf") -> np.ndarray:
+    """``values`` as a NumPy array, refused with InvalidInputError when it is
+    ragged or its dtype kind is not in ``kinds``: "iu" takes integers, "iuf"
+    real numbers, and neither takes bools, strings or None."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError):  # ragged rows
+        arr = None
+    if arr is None or arr.dtype.kind not in kinds:
+        what = "integers" if kinds == "iu" else "real numbers"
+        raise InvalidInputError(f"{name} must be an array of {what}")
+    return arr
+
+
+def check_distribution(values, name: str, size: int | None = None) -> np.ndarray:
+    """``values`` as a float64 vector, refused with InvalidInputError unless
+    it has ``size`` entries (at least two when None), all finite and
+    non-negative, summing to 1 within 1e-9."""
+    d = check_array(values, name).astype(np.float64)
+    sized = d.size >= 2 if size is None else d.size == size
+    if d.ndim != 1 or not sized or not (
+        np.isfinite(d).all() and d.min() >= 0.0 and abs(d.sum() - 1.0) <= 1e-9
+    ):
+        count = "at least two" if size is None else size
+        raise InvalidInputError(
+            f"{name} must be {count} finite non-negative numbers summing to 1"
+        )
+    return d
+
+
 class Alphabet:
     """Ordered finite symbol set.  Symbols are indices 0..k-1 with labels."""
 

@@ -334,6 +334,9 @@ class TestBoundCurve:
             bound_curve(2, 0.95, 10, None, [100, 50])
         with pytest.raises(InvalidInputError):
             bound_curve(2, 0.95, 10, None, [0, 50])
+        for bad in (None, math.inf, math.nan, "x"):
+            with pytest.raises(InvalidInputError, match="lengths"):
+                bound_curve(2, 0.95, 10, None, [100, bad])
 
 
 def reference_estimate(sync, cfg, table):

@@ -119,6 +119,22 @@ class TestValidation:
                 [[1.0, 0.0], [0.0, 1.0]],
             )
 
+    @pytest.mark.parametrize(
+        "delta, pi",
+        [
+            ([[1.9, 1], [0, 1]], [[0.5, 0.5], [0.5, 0.5]]),
+            ([[0.5, 1], [0, 1]], [[0.5, 0.5], [0.5, 0.5]]),
+            ([[np.nan, 1], [0, 1]], [[0.5, 0.5], [0.5, 0.5]]),
+            ([["1", 1], [0, 1]], [[0.5, 0.5], [0.5, 0.5]]),
+            ([[0, 1], [0, 1]], [["a", 0.5], [0.5, 0.5]]),
+            ([[0, 1], [0, 1]], [[1.0], [0.5, 0.5]]),
+        ],
+        ids=["delta-1.9", "delta-0.5", "delta-nan", "delta-str", "pi-str", "pi-ragged"],
+    )
+    def test_arrays_of_the_wrong_kind(self, delta, pi):
+        with pytest.raises(InvalidInputError, match="delta|pi"):
+            Pfsa(BINARY, delta, pi)
+
     def test_validate_is_idempotent(self):
         validate(two_state_synchronizable())
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from syncrate import (
     two_state_synchronizable,
 )
 from syncrate.estimator import default_sample_size
+from syncrate.pfsa import evolve, symbol_distribution
 
 
 def naive_count(seq, word):
@@ -593,3 +595,51 @@ def test_size_arguments_refuse_non_integers(name, call, bad):
         call(bad)
     assert name in str(info.value) and repr(bad) in str(info.value)
 
+
+# every public real-valued argument, as the name its error gives, a call
+# that passes the value there, and its interval
+REAL_ARGUMENTS = [
+    ("epsilon", lambda v: EstimatorConfig(epsilon=v), 0, 1, "()"),
+    ("alpha", lambda v: EstimatorConfig(epsilon=0.1, alpha=v), 0, 1, "()"),
+    ("eps", lambda v: gen_binary_entropy(v, 2), 0, 1, "[]"),
+    ("alpha", lambda v: solve_uncertainty(100, 2, v, 10), 0, 1, "()"),
+    ("sync_frequency", lambda v: solve_uncertainty(100, 2, 0.95, 10, v), 0, 1, "(]"),
+    ("epsilon", lambda v: candidate_length(v, 2), 0, 1, "()"),
+    ("map parameter", lambda v: ChaoticMapConfig(r=v, n=10), 0, 2, "(]"),
+    ("initial condition", lambda v: ChaoticMapConfig(r=1.5, n=10, x0=v), -1, 1, "()"),
+]
+
+# every public probability vector, as the name its error gives, a call that
+# passes the vector there, and a vector of the wrong length
+DISTRIBUTION_ARGUMENTS = [
+    ("probabilities", lambda v: iid_stream(v, 10), [1.0]),
+    ("state distribution", lambda v: evolve(two_state_synchronizable(), v, (0,)), [0.5] * 3),
+    ("state distribution", lambda v: symbol_distribution(two_state_synchronizable(), v), [1.0]),
+]
+
+
+def _number_cases():
+    """(call, bad value, words its error must hold) for every argument."""
+    for i, (name, call, low, high, closed) in enumerate(REAL_ARGUMENTS):
+        # an open end is itself just outside; a closed one is one float past
+        below = low if closed[0] == "(" else math.nextafter(low, -math.inf)
+        above = high if closed[1] == ")" else math.nextafter(high, math.inf)
+        bads = {"str": "0.1", "None": None, "nan": math.nan, "True": True,
+                "numpy-True": np.bool_(True), "below": below, "above": above}
+        if name == "sync_frequency":
+            del bads["None"]  # None leaves out the synchronization term
+        for label, bad in bads.items():
+            words = (f"{name} must lie in", repr(bad))
+            yield pytest.param(call, bad, words, id=f"{name}-{i}-{label}")
+    for i, (name, call, wrong_length) in enumerate(DISTRIBUTION_ARGUMENTS):
+        bads = {"strings": ["a", "b"], "nan": [math.nan, 1.0], "sum": [0.9, 0.9],
+                "length": wrong_length}
+        for label, bad in bads.items():
+            yield pytest.param(call, bad, (name,), id=f"{name}-{i}-{label}")
+
+
+@pytest.mark.parametrize("call, bad, words", _number_cases())
+def test_real_arguments_refuse_non_numbers(call, bad, words):
+    with pytest.raises(InvalidInputError) as info:
+        call(bad)
+    assert all(word in str(info.value) for word in words)
