@@ -12,7 +12,6 @@ from syncrate import ChaoticMapConfig, EstimatorConfig, chaotic_stream, estimate
 
 cfg = EstimatorConfig(
     epsilon=0.05,
-    sample_size=100_000,
     max_extension_length=5,
     min_count=200,
 )

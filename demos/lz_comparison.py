@@ -17,7 +17,6 @@ stream = simulate(machine, 30_000, seed=0)
 
 cfg = EstimatorConfig(
     epsilon=0.05,
-    sample_size=100_000,
     max_extension_length=8,
     min_count=200,
 )

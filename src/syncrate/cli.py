@@ -22,7 +22,6 @@ from .errors import EstimationError, InsufficientDataError, InvalidInputError
 from .estimator import (
     EstimatorConfig,
     bound_curve,
-    default_sample_size,
     estimate_entropy_rate,
     search_settings,
 )
@@ -146,7 +145,6 @@ def _estimator_config(args) -> EstimatorConfig:
     return EstimatorConfig(
         epsilon=args.epsilon,
         alpha=args.alpha,
-        sample_size=args.samples,
         max_extension_length=args.ext_max,
         min_count=args.nmin,
     )
@@ -250,8 +248,7 @@ def cmd_bounds(args) -> int:
     alphas = _number_list(args.alpha_list, "--alpha")
     lengths = _whole_list(args.lengths, "--lengths")
     k = args.alphabet_size
-    samples = args.samples if args.samples is not None else default_sample_size(k)
-    curves = [bound_curve(k, a, samples, args.p0, lengths) for a in alphas]
+    curves = [bound_curve(k, a, args.samples, args.p0, lengths) for a in alphas]
     columns = ["length"] + [f"E_alpha{a:g}" for a in alphas]
     rows = []
     for i, n in enumerate(lengths):
@@ -318,7 +315,6 @@ def _add_stream_flags(p, estimator: bool):
     p.add_argument("--epsilon", type=float, default=0.05, help="derivative tolerance")
     if estimator:
         p.add_argument("--alpha", type=float, default=0.95, help="confidence level")
-        p.add_argument("--samples", type=int, default=None, help="extension count N the bound's sampling term assumes")
         p.add_argument("--ext-max", type=int, default=None, help="longest extension")
         p.add_argument("--nmin", type=int, default=EstimatorConfig.min_count, help="extension count floor")
     p.add_argument("--search-length", type=int, default=None, help="sync search depth")
@@ -346,7 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="uncertainty bound against stream length")
     p.add_argument("--alphabet-size", type=int, required=True)
     p.add_argument("--alpha", dest="alpha_list", default="0.95", help="comma-separated levels")
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=None,
+        help="extension count N of a sampled Phase II; adds the sampling term (default: none)",
+    )
     p.add_argument("--p0", type=float, default=None, help="sync word frequency term")
     p.add_argument("--lengths", required=True, help="comma-separated stream lengths")
     p.add_argument("--out", default=None)

@@ -25,10 +25,11 @@ _GRID_POINTS = 200
 
 
 def default_sample_size(alphabet_size: int) -> int:
-    """Default extension count N for the bound: 1e7 * log2(k)^2.
+    """Default extension count N for a sampled Phase II: 1e7 * log2(k)^2.
 
     It targets the regime where the sampling penalty in the bound is
-    negligible.
+    negligible.  The estimate draws nothing and never reads it; it stays for
+    ``EstimatorConfig.resolved_sample_size``, which the bench harness calls.
     """
     check_size(alphabet_size, "alphabet_size", 2)
     return round(1e7 * math.log2(alphabet_size) ** 2)
@@ -38,11 +39,11 @@ def default_sample_size(alphabet_size: int) -> int:
 class EstimatorConfig:
     """Knobs for the estimator.
 
-    Phase II weighs extensions exactly, so ``sample_size`` draws nothing: it
-    is the extension count N that the bound's sampling term assumes, and
-    defaults to ``default_sample_size``.  ``max_extension_length`` defaults
-    per alphabet size so that the pool of extensions stays around a few
-    hundred words.  ``seed`` no longer affects any result.
+    Phase II weighs extensions exactly and draws nothing, so the estimate
+    reads neither ``sample_size`` nor ``seed``: both change no result.  They
+    and ``resolved_sample_size`` stay only while the bench harness passes or
+    calls them.  ``max_extension_length`` defaults per alphabet size so that
+    the pool of extensions stays around a few hundred words.
     """
 
     epsilon: float
@@ -97,12 +98,11 @@ def gen_binary_entropy(eps: float, alphabet_size: int) -> float:
 class EstimateReport:
     """Estimate plus everything needed to audit it.
 
-    ``samples_used`` is max(1, round(N * W)) for the configured sample size
-    N and the total weight W of the contributing extensions, the x0·w
-    followed by a symbol more than ``min_count`` times: the expected number
-    of useful draws among N random extensions.  ``samples_discarded`` is N
-    minus that, and ``cluster_count`` the number of contributing words x0·w,
-    each a term of the weighted mean.
+    ``cluster_count`` is the number of contributing words x0·w, those
+    followed by a symbol more than ``min_count`` times, each a term of the
+    weighted mean.  Phase II draws no extension, so ``samples_used`` mirrors
+    ``cluster_count`` and ``samples_discarded`` is 0; both stay only because
+    the bench harness reads them, and go when it stops.
     """
 
     entropy_rate: float
@@ -122,27 +122,31 @@ def solve_uncertainty(
     stream_length: int,
     alphabet_size: int,
     alpha: float,
-    sample_count: int,
+    sample_count: int | None,
     sync_frequency: float | None = None,
 ):
     """Smallest deviation tolerance the stream supports at confidence alpha.
 
     Returns ``(epsilon_star, bound, vacuous)``.  Three failure modes eat into
     the 1 - alpha risk budget: finite-stream derivative noise, finite
-    sampling of extensions, and never meeting the synchronizing word.  Each
-    penalty falls monotonically in the tolerance, so the feasible tolerances
-    form a right-open interval, and the feasible points of an ascending grid
-    form the grid's tail.  The interval's lower edge is bracketed by a
-    bisection over 200 geometric grid points in [1e-6, 1 - 1e-6] for the
-    first feasible one, then found by bisection between 0 and that point
-    down to width 1e-9.  When no grid point is feasible the bound degrades
-    to log2(k), flagged vacuous.  A bound above log2(k) says nothing an
-    entropy rate in [0, log2(k)] does not, so it is also reported as
-    log2(k), flagged vacuous, with the solved tolerance kept.
+    sampling of extensions, and never meeting the synchronizing word.  The
+    first always applies, the second when ``sample_count`` gives the number
+    of extensions a sampled Phase II drew, and the third when
+    ``sync_frequency`` is given.  Each penalty falls monotonically in the
+    tolerance, so the feasible tolerances form a right-open interval, and
+    the feasible points of an ascending grid form the grid's tail.  The
+    interval's lower edge is bracketed by a bisection over 200 geometric
+    grid points in [1e-6, 1 - 1e-6] for the first feasible one, then found
+    by bisection between 0 and that point down to width 1e-9.  When no grid
+    point is feasible the bound degrades to log2(k), flagged vacuous.  A
+    bound above log2(k) says nothing an entropy rate in [0, log2(k)] does
+    not, so it is also reported as log2(k), flagged vacuous, with the solved
+    tolerance kept.
     """
     check_size(alphabet_size, "alphabet_size", 2)
     check_size(stream_length, "stream_length", 1)
-    check_size(sample_count, "sample_count", 1)
+    if sample_count is not None:
+        check_size(sample_count, "sample_count", 1)
     check_real(alpha, "alpha", 0, 1)
     if sync_frequency is not None:
         check_real(sync_frequency, "sync_frequency", 0, 1, "(]")
@@ -153,7 +157,8 @@ def solve_uncertainty(
 
     def penalty(eps: float) -> float:
         total = c0 * (1.0 + eps * eps) / (stream_length * eps**3)
-        total += 2.0 * math.exp(-c1 * sample_count * eps * eps)
+        if sample_count is not None:
+            total += 2.0 * math.exp(-c1 * sample_count * eps * eps)
         if sync_frequency is not None:
             total += math.exp(-eps * sync_frequency * stream_length)
         return total
@@ -182,7 +187,7 @@ def solve_uncertainty(
 def bound_curve(
     alphabet_size: int,
     alpha: float,
-    sample_count: int,
+    sample_count: int | None,
     sync_frequency: float | None,
     lengths,
 ) -> list:
@@ -217,7 +222,8 @@ def estimate(
     ``min_count + 1`` gives each length's contributing words x0·w, those
     followed by a symbol more than ``min_count`` times, with their successor
     rows, and misses no word; each length's row entropies are summed in one
-    call.
+    call.  Nothing is drawn, so the bound carries no sampling term and
+    ``cfg.sample_size`` is never read.
     """
     k = stream.alphabet.size
     ext_max = cfg.resolved_extension_length(k)
@@ -237,13 +243,11 @@ def estimate(
             "lower min_count"
         )
     h = float(weighted_h / mass)
-    n_samples = cfg.resolved_sample_size(k)
-    samples_used = max(1, round(n_samples * mass))
     eps_star, bound, vacuous = solve_uncertainty(
         len(stream),
         k,
         cfg.alpha,
-        samples_used,
+        None,
         sync.frequency,
     )
     return EstimateReport(
@@ -253,8 +257,8 @@ def estimate(
         epsilon_star=eps_star,
         sync_word=sync.word,
         sync_frequency=sync.frequency,
-        samples_used=samples_used,
-        samples_discarded=n_samples - samples_used,
+        samples_used=words,
+        samples_discarded=0,
         stream_length=len(stream),
         cluster_count=words,
         vacuous=vacuous,

@@ -40,7 +40,11 @@ class Pfsa:
 
     def __init__(self, alphabet: Alphabet, delta, pi):
         self.alphabet = alphabet
-        self.delta = check_array(delta, "delta", "iu").astype(np.int64)
+        delta = check_array(delta, "delta", "iu")
+        if delta.size and int(delta.max()) > np.iinfo(np.int64).max:
+            # an unsigned target past int64 would wrap, 2**64 - 1 to the -1 marker
+            raise InvalidInputError("delta must hold integers within the int64 range")
+        self.delta = delta.astype(np.int64)
         self.pi = check_array(pi, "pi").astype(np.float64)
         self.delta.setflags(write=False)
         self.pi.setflags(write=False)

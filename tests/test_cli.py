@@ -47,7 +47,7 @@ def workdir(tmp_path_factory):
 
 
 ESTIMATE_FLAGS = [
-    "--epsilon", "0.05", "--samples", "100000", "--ext-max", "4",
+    "--epsilon", "0.05", "--ext-max", "4",
     "--nmin", "200", "--collect-min", "200", "--search-length", "1",
 ]
 
@@ -252,6 +252,8 @@ class TestBounds:
             assert e99 > e95
 
     def test_binary_anchor_uses_default_samples(self, capsys):
+        # no --samples, no sampling term: the anchor was taken at the default
+        # sample size, which was chosen to make that term vanish
         code, out, _ = run(
             ["bounds", "--alphabet-size", "2", "--lengths", "5000000"],
             capsys,
@@ -301,7 +303,7 @@ def _layout_digest(flags, symbols, labels):
 
 
 ESTIMATE_PARSED = {
-    "text": False, "epsilon": 0.05, "alpha": 0.95, "samples": 100_000,
+    "text": False, "epsilon": 0.05, "alpha": 0.95,
     "ext_max": 4, "nmin": 200, "search_length": 1, "collect_min": 200,
 }
 
@@ -465,9 +467,15 @@ class TestExitCodes:
         assert "count floor" in err
 
     def test_bad_flag_is_one(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["estimate", "--no-such-flag"])
-        assert exc.value.code == 1
+        # --samples sets the sampling term, which only `bounds` has
+        for argv in (
+            ["estimate", "--no-such-flag"],
+            ["estimate", "--samples", "10"],
+            ["benchmark", "--checkpoints", "100", "--samples", "10"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--input", "unused.raw"])
+            assert exc.value.code == 1
 
     def test_empty_checkpoints(self, workdir, capsys):
         code, _, _ = run(

@@ -141,7 +141,8 @@ def scan_solve(stream_length, alphabet_size, alpha, sample_count, sync_frequency
 
     def penalty(eps):
         total = c0 * (1.0 + eps * eps) / (stream_length * eps**3)
-        total += 2.0 * math.exp(-c1 * sample_count * eps * eps)
+        if sample_count is not None:
+            total += 2.0 * math.exp(-c1 * sample_count * eps * eps)
         if sync_frequency is not None:
             total += math.exp(-eps * sync_frequency * stream_length)
         return total
@@ -187,6 +188,7 @@ class TestSolveUncertainty:
             (5_000_000, 2, 0.95, 10_000_000, None),
             (30_000, 2, 0.95, 100_000, 0.4),
             (2_000_000, 27, 0.9, 50_000_000, None),
+            (5_000_000, 2, 0.95, None, None),
         ],
     )
     def test_matches_linear_scan(self, length, k, alpha, samples, p0):
@@ -195,7 +197,8 @@ class TestSolveUncertainty:
 
         def penalty(e):
             t = c0 * (1 + e * e) / (length * e**3)
-            t += 2 * math.exp(-c1 * samples * e * e)
+            if samples is not None:
+                t += 2 * math.exp(-c1 * samples * e * e)
             if p0 is not None:
                 t += math.exp(-e * p0 * length)
             return t
@@ -213,7 +216,7 @@ class TestSolveUncertainty:
         length=st.integers(1, 10**10),
         k=st.sampled_from([2, 3, 8, 27, 256]),
         alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-        samples=st.integers(1, 10**9),
+        samples=st.none() | st.integers(1, 10**9),
         p0=st.none() | st.floats(0.0, 1.0, exclude_min=True),
     )
     @example(length=100, k=2, alpha=0.95, samples=10, p0=None)  # infeasible at 1
@@ -342,7 +345,7 @@ class TestBoundCurve:
 def reference_estimate(sync, cfg, table):
     """Exact-weight Phase II by brute force over every pool word.
 
-    Returns (h, contributing word count, samples_used).
+    Returns (h, contributing word count).
     """
     k = table.alphabet.size
     ext_max = cfg.resolved_extension_length(k)
@@ -358,8 +361,7 @@ def reference_estimate(sync, cfg, table):
                 weighted_h += w * entropy(succ / total)
                 mass += w
                 words += 1
-    used = max(1, round(cfg.resolved_sample_size(k) * mass))
-    return weighted_h / mass, words, used
+    return weighted_h / mass, words
 
 
 def three_symbol_machine():
@@ -397,14 +399,14 @@ class TestEstimatePipeline:
         if rooted:
             # only the windows behind x0 are counted
             table = build_count_table(stream, len(sync.word) + 3, root=sync.word)
-        h, words, used = reference_estimate(sync, cfg, table)
+        h, words = reference_estimate(sync, cfg, table)
         report = estimate(stream, sync, cfg, table)
         assert words > 1
         # the sums run in another order
         assert report.entropy_rate == pytest.approx(h, rel=1e-12)
         assert report.cluster_count == words
-        assert report.samples_used == used
-        assert report.samples_discarded == 500 - used
+        assert report.samples_used == words
+        assert report.samples_discarded == 0
 
     @pytest.mark.parametrize("seed", [3, 5])
     def test_symbol_relabelling_leaves_rate_unchanged(self, seed):
@@ -535,7 +537,8 @@ class TestEstimatePipeline:
             stream, cfg, collect_min_count=200, search_length=1
         )
         assert 0.0 <= report.entropy_rate <= 1.0
-        assert report.samples_used + report.samples_discarded == 50_000
+        assert report.samples_used == report.cluster_count
+        assert report.samples_discarded == 0
         assert 0.0 < report.sync_frequency <= 1.0
         assert report.cluster_count >= 1
         assert 0.0 < report.epsilon_star <= 1.0
@@ -611,11 +614,29 @@ class TestEstimatePipeline:
             stream, cfg, collect_min_count=200, search_length=1
         )
         eps, bound, vac = solve_uncertainty(
-            30_000, 2, 0.95, report.samples_used, report.sync_frequency
+            30_000, 2, 0.95, None, report.sync_frequency
         )
         assert report.epsilon_star == eps
         assert report.bound == bound
         assert report.vacuous == vac
+
+    def test_sample_size_changes_no_report(self):
+        # Phase II draws nothing, so no sample count reaches the bound: at
+        # sample_size=1 a sampling term would make it vacuous
+        stream = simulate(two_state_synchronizable(), 30_000, seed=4)
+        reports = [
+            estimate_entropy_rate(
+                stream,
+                EstimatorConfig(
+                    epsilon=0.05, sample_size=n, max_extension_length=4, min_count=200
+                ),
+                collect_min_count=200,
+                search_length=1,
+            )
+            for n in (1, None)
+        ]
+        assert reports[0] == reports[1]
+        assert not reports[0].vacuous
 
     @given(st.integers(min_value=0, max_value=40))
     @settings(max_examples=12, deadline=None)

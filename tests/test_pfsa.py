@@ -128,8 +128,13 @@ class TestValidation:
             ([["1", 1], [0, 1]], [[0.5, 0.5], [0.5, 0.5]]),
             ([[0, 1], [0, 1]], [["a", 0.5], [0.5, 0.5]]),
             ([[0, 1], [0, 1]], [[1.0], [0.5, 0.5]]),
+            # 2**64 - 1 would wrap to the undefined-arc marker -1 in int64
+            (np.array([[1, 2**64 - 1], [0, 1]], dtype=np.uint64), [[1.0, 0.0], [0.5, 0.5]]),
         ],
-        ids=["delta-1.9", "delta-0.5", "delta-nan", "delta-str", "pi-str", "pi-ragged"],
+        ids=[
+            "delta-1.9", "delta-0.5", "delta-nan", "delta-str", "pi-str", "pi-ragged",
+            "delta-wraps",
+        ],
     )
     def test_arrays_of_the_wrong_kind(self, delta, pi):
         with pytest.raises(InvalidInputError, match="delta|pi"):
