@@ -10,11 +10,8 @@ are included.
 
 from .errors import (
     EstimationError,
-    ImpossibleEvolutionError,
     InsufficientDataError,
     InvalidInputError,
-    NumericError,
-    ResourceLimitError,
 )
 from .streams import (
     BINARY,

@@ -117,15 +117,16 @@ def lz78_curve(
 ) -> list[tuple[int, float]]:
     """Estimate over stream prefixes, from one parse.
 
-    ``checkpoints`` must be ascending integer lengths within the stream.  Each
-    row is ``(length, estimate)`` where the estimate counts phrases of
-    the prefix, including a partial one in progress.  The parse runs
-    over the stream up to the last checkpoint only; because the
-    incremental parse of a prefix is the prefix of the parse, the phrase
-    count at a checkpoint m is the number of phrase end offsets below m,
-    found by one binary search, plus the one phrase, complete or not,
-    that holds the m-th symbol.
+    ``checkpoints`` must be ascending integer lengths within the stream, in
+    a list or a NumPy array.  Each row is ``(length, estimate)`` where the
+    estimate counts phrases of the prefix, including a partial one in
+    progress.  The parse runs over the stream up to the last checkpoint
+    only; because the incremental parse of a prefix is the prefix of the
+    parse, the phrase count at a checkpoint m is the number of phrase end
+    offsets below m, found by one binary search, plus the one phrase,
+    complete or not, that holds the m-th symbol.
     """
+    checkpoints = list(checkpoints)  # a NumPy array has no truth value
     if not checkpoints:
         return []
     for m in checkpoints:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import ImpossibleEvolutionError, InvalidInputError, NumericError
+from .errors import EstimationError, InvalidInputError
 from .streams import (
     BINARY, DRAW_BLOCK, Alphabet, SymbolStream, check_array, check_distribution, check_size, entropy
 )
@@ -115,7 +115,8 @@ def stationary_distribution(p: Pfsa) -> np.ndarray:
 
     Solves d (M - I) = 0 with the last equation replaced by sum(d) = 1,
     which is nonsingular for every strongly connected chain, periodic ones
-    included.  The result must satisfy d M = d to 1e-10.
+    included.  The result must satisfy d M = d to 1e-10; a singular system
+    or a larger residual raises EstimationError.
     """
     m = markov_matrix(p)
     q = m.shape[0]
@@ -126,12 +127,12 @@ def stationary_distribution(p: Pfsa) -> np.ndarray:
     try:
         d = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"stationary solve failed: {exc}") from exc
+        raise EstimationError(f"stationary solve failed: {exc}") from exc
     d = np.clip(d, 0.0, None)
     d /= d.sum()
     residual = np.abs(d @ m - d).max()
     if not residual <= _STATIONARY_TOL:
-        raise NumericError(
+        raise EstimationError(
             f"stationary residual {residual:.3e} above {_STATIONARY_TOL:.0e}"
         )
     return d
@@ -147,14 +148,14 @@ def analytical_entropy_rate(p: Pfsa) -> float:
 def evolve(p: Pfsa, dist, word) -> np.ndarray:
     """Push a state distribution through a word: after each symbol s it is
     ``d @ transformation_matrix(p, s)``, renormalized.  Raises
-    ImpossibleEvolutionError if the word has zero probability from every
-    state with mass."""
+    InvalidInputError if the word has zero probability from every state
+    with mass."""
     d = check_distribution(dist, "state distribution", p.n_states)
     for pos, symbol in enumerate(word):
         nxt = d @ transformation_matrix(p, symbol)
         total = nxt.sum()
         if total <= 0.0:
-            raise ImpossibleEvolutionError(
+            raise InvalidInputError(
                 f"symbol at position {pos} has zero probability under the "
                 "current state distribution"
             )

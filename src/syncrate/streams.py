@@ -24,7 +24,7 @@ import numbers
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError
 
 # Words are packed into codes, digit i weighted by k**(L-1-i).  The build
 # encodes and sorts windows in the narrowest of these dtypes that holds
@@ -185,7 +185,8 @@ class SymbolStream:
 def _encode(word, k: int) -> int:
     code = 0
     for sym in word:
-        if not 0 <= sym < k:
+        check_size(sym, "word symbol")
+        if sym >= k:
             raise InvalidInputError("word contains a symbol outside the alphabet")
         code = code * k + int(sym)
     return code
@@ -411,23 +412,24 @@ def build_count_table(s: SymbolStream, max_len: int, root=()) -> CountTable:
     ``rooted(root)``, which keeps the cut windows that begin with the root
     and refuses a root longer than max_len + 1 or outside the alphabet.
 
-    Refuses a table that may store more than ``MAX_TABLE_ENTRIES`` entries,
-    min(n, k**(top - len(root))): at most one per window and one per code of
-    the symbols behind the root.  Refuses codes that would overflow int64.
+    Refuses with InvalidInputError a table that may store more than
+    ``MAX_TABLE_ENTRIES`` entries, min(n, k**(top - len(root))): at most one
+    per window and one per code of the symbols behind the root.  Refuses
+    codes that would overflow int64 the same way.
     """
     check_size(max_len, "max_len")
     k = s.alphabet.size
     n = len(s)
     depth = max_len + 1
     if depth * math.log2(k) > _CODE_BITS:
-        raise ResourceLimitError(
+        raise InvalidInputError(
             f"words of length {depth} over {k} symbols exceed the int64 code "
             "range; reduce max_len or use a smaller alphabet"
         )
     r = len(root)
     top = min(depth, n)
     if min(n, k ** max(top - r, 0)) > MAX_TABLE_ENTRIES:
-        raise ResourceLimitError(
+        raise InvalidInputError(
             f"count table would hold more than {MAX_TABLE_ENTRIES} entries; "
             "reduce max_len or count behind a longer root"
         )

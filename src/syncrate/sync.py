@@ -16,7 +16,7 @@ from itertools import islice
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import InsufficientDataError, InvalidInputError, ResourceLimitError
+from .errors import InsufficientDataError, InvalidInputError
 from .streams import Alphabet, CountTable, check_real, check_size
 
 # word lengths grow logarithmically in 1/epsilon; the cap keeps the table
@@ -104,7 +104,7 @@ def _vertex_test(derivs: DerivativeMap):
         extreme = (uniq[:, 0] == uniq[0, 0]) | (uniq[:, 0] == uniq[-1, 0])
         is_vertex = extreme.__getitem__
     elif len(uniq) > MAX_HULL_POINTS or len(uniq) * k > MAX_HULL_PRODUCT:
-        raise ResourceLimitError(
+        raise InvalidInputError(
             f"hull test over {len(uniq)} distinct derivatives of {k} symbols "
             f"exceeds {MAX_HULL_POINTS} points or {MAX_HULL_PRODUCT} points "
             "times symbols; shorten the search or raise the count floor"
@@ -125,7 +125,7 @@ def hull_vertex_words(derivs: DerivativeMap) -> list:
     reduces to min/max of the first coordinate; larger alphabets get a
     linear program per unique point.  More than ``MAX_HULL_POINTS`` (256)
     points, or points times alphabet size above ``MAX_HULL_PRODUCT``
-    (6,912), raise ResourceLimitError before any program is solved.  On
+    (6,912), raise InvalidInputError before any program is solved.  On
     2 vCPUs 256 points took 1.4 s over 8 symbols and 2.6-3.1 s over 27,
     512 points 4.3 s and 8.9 s; over 256 symbols the 27 points the
     product allows took 0.3 s, 64 points 1.8 s and 257 points 28 s.
@@ -155,6 +155,9 @@ def select_sync_string(derivs: DerivativeMap, vertex_words) -> SyncResult:
     """Most frequent vertex word; ties break to the lexicographically least."""
     if not vertex_words:
         raise InsufficientDataError("no synchronizing candidates to choose from")
+    for word in vertex_words:
+        if word not in derivs.entries:
+            raise InvalidInputError(f"word {word} has no derivative to select")
     best = min(vertex_words, key=_selection_key(derivs))
     derivative, cnt = derivs.entries[best]
     return SyncResult(

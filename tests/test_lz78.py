@@ -208,6 +208,7 @@ class TestCurve:
         data = rng.integers(0, 3, size=5_000)
         s = SymbolStream(data, ABC)
         rows = lz78_curve(s, [10, 500, 2_500, 5_000])
+        assert lz78_curve(s, np.array([10, 500, 2_500, 5_000])) == rows
         for length, est in rows:
             _pairs, _tail, _ends, counts = reference_parse(data[:length].tolist())
             c = counts[length]
@@ -215,6 +216,7 @@ class TestCurve:
 
     def test_empty_checkpoint_list(self):
         assert lz78_curve(stream_of([0, 1]), []) == []
+        assert lz78_curve(stream_of([0, 1]), np.array([], dtype=int)) == []
 
     def test_checkpoints_must_ascend(self):
         with pytest.raises(InvalidInputError, match="ascending"):

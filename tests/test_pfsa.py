@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncrate import BINARY, Alphabet, InvalidInputError
-from syncrate.errors import ImpossibleEvolutionError
 from syncrate.streams import DRAW_BLOCK
 from syncrate.pfsa import (
     _SCAN_MAX_STATES,
@@ -244,7 +243,7 @@ class TestEvolve:
 
     def test_impossible_word(self):
         p = ring_machine(5)
-        with pytest.raises(ImpossibleEvolutionError):
+        with pytest.raises(InvalidInputError, match="zero probability"):
             evolve(p, np.full(5, 0.2), (1,))
 
     def test_bad_distribution(self):

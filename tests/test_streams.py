@@ -12,7 +12,6 @@ from syncrate import (
     ChaoticMapConfig,
     EstimatorConfig,
     InvalidInputError,
-    ResourceLimitError,
     SymbolStream,
     build_count_table,
     candidate_length,
@@ -427,10 +426,12 @@ class TestCountTable:
         with pytest.raises(InvalidInputError):
             build_count_table(SymbolStream([], BINARY), max_len=2, root=(2,))
         monkeypatch.setattr(streams, "MAX_TABLE_ENTRIES", 5)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(InvalidInputError, match="entries"):
             build_count_table(s, max_len=4, root=(0,))
         with pytest.raises(InvalidInputError, match="non-negative integer"):
             build_count_table(s, max_len=2.5, root=(0,))
+        with pytest.raises(InvalidInputError, match="word symbol"):
+            build_count_table(s, max_len=2, root="1")
 
     def test_build_peak_memory(self):
         # 2**11 window codes fit 16 bits: two bytes of codes per symbol, read
@@ -489,7 +490,7 @@ class TestCountTable:
     def test_code_overflow_guard(self):
         a = Alphabet(tuple(str(i) for i in range(100)))
         s = SymbolStream([0, 1, 2], a)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(InvalidInputError, match="int64 code range"):
             build_count_table(s, max_len=12)
 
     def test_entry_budget_guard(self, monkeypatch):
@@ -503,7 +504,7 @@ class TestCountTable:
             for got, want in zip(built.level(length), view.level(length)):
                 assert np.array_equal(got, want)
         # min(1000 windows, 2**10 codes) > 600
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(InvalidInputError, match="entries"):
             build_count_table(s, 9)
 
 
@@ -579,6 +580,8 @@ SIZE_ARGUMENTS = [
     ("initial state", lambda v: simulate(two_state_synchronizable(), 10, initial_state=v)),
     ("symbol index", lambda v: transformation_matrix(two_state_synchronizable(), v)),
     ("checkpoint", lambda v: lz78_curve(stream_from("0101"), [v])),
+    ("word symbol", lambda v: _table().count((v,))),
+    ("word symbol", lambda v: build_count_table(stream_from("0101"), 2, root=(v,))),
 ]
 
 

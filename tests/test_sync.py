@@ -10,7 +10,6 @@ from syncrate import (
     EstimatorConfig,
     InsufficientDataError,
     InvalidInputError,
-    ResourceLimitError,
     SymbolStream,
     build_count_table,
     estimate_entropy_rate,
@@ -266,7 +265,7 @@ class TestHullVertexWords:
             word = tuple(int(c) for c in np.base_repr(i, 3).zfill(6))
             p = i / (2 * MAX_HULL_POINTS)
             items.append((word, (p, 0.5 - p, 0.5), 5))
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(InvalidInputError, match="hull test"):
             hull_vertex_words(make_map(ABC, 100, items))
 
     def test_point_times_symbol_cap_refuses_before_solving(self):
@@ -279,7 +278,7 @@ class TestHullVertexWords:
         for i in range(points):
             p = i / (2 * points)
             items.append(((i,), (p, 0.5 - p, 0.5) + (0.0,) * 253, 5))
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(InvalidInputError, match="hull test"):
             hull_vertex_words(make_map(bytes256, 100, items))
 
     def test_vertices_subset_of_keys(self):
@@ -327,6 +326,11 @@ class TestSelectSyncString:
         derivs = make_map(BINARY, 10, [((0,), (0.5, 0.5), 5)])
         with pytest.raises(InsufficientDataError):
             select_sync_string(derivs, [])
+
+    def test_word_without_derivative(self):
+        derivs = make_map(BINARY, 10, [((0,), (0.5, 0.5), 5)])
+        with pytest.raises(InvalidInputError, match=r"\(1, 1, 1, 1\)"):
+            select_sync_string(derivs, [(0,), (1, 1, 1, 1)])
 
 
 class TestOnSimulatedStreams:
@@ -403,7 +407,7 @@ def solved(monkeypatch):
 def pick(select):
     try:
         r = select()
-    except ResourceLimitError as exc:
+    except InvalidInputError as exc:
         return "refused", str(exc)
     return r.word, r.derivative.tobytes(), r.count, r.frequency
 
