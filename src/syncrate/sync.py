@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import InsufficientDataError, InvalidInputError
-from .streams import Alphabet, CountTable, check_real, check_size
+from .streams import MAX_ALPHABET_SIZE, Alphabet, CountTable, check_real, check_size
 
 # word lengths grow logarithmically in 1/epsilon; the cap keeps the table
 # build bounded when callers pass an extravagant tolerance
@@ -30,7 +30,7 @@ MAX_HULL_PRODUCT = 256 * 27  # distinct points times alphabet size
 def candidate_length(epsilon: float, alphabet_size: int) -> int:
     """Longest word length the search needs to examine for tolerance epsilon."""
     check_real(epsilon, "epsilon", 0, 1)
-    check_size(alphabet_size, "alphabet_size", 2)
+    check_size(alphabet_size, "alphabet_size", 2, MAX_ALPHABET_SIZE)
     length = math.ceil(math.log(1.0 / epsilon) / math.log(alphabet_size))
     return min(max(length, 1), MAX_CANDIDATE_LENGTH)
 

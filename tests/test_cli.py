@@ -246,7 +246,7 @@ class TestBounds:
         rows = [line.split("\t") for line in lines[2:]]
         by_length = {int(r[0]): (float(r[1]), float(r[2])) for r in rows}
         assert by_length[5_000_000][0] == pytest.approx(
-            0.888430506585853, abs=1e-9
+            0.8884305017343049, abs=1e-9
         )
         for e95, e99 in by_length.values():
             assert e99 > e95
@@ -260,7 +260,7 @@ class TestBounds:
         )
         assert code == 0
         value = float(out.splitlines()[2].split("\t")[1])
-        assert value == pytest.approx(0.22076931065228933, abs=1e-9)
+        assert value == pytest.approx(0.22076930527120175, abs=1e-9)
 
     @pytest.mark.parametrize("k", ["1", "0"])
     def test_alphabet_below_two_symbols_rejected(self, k, capsys):
@@ -476,6 +476,34 @@ class TestExitCodes:
             with pytest.raises(SystemExit) as exc:
                 main(argv + ["--input", "unused.raw"])
             assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "flag, name", [("--alphabet-size", "alphabet_size"), ("--samples", "sample_count")]
+    )
+    def test_integer_too_large_for_a_float_is_one(self, flag, name, capsys):
+        argv = ["bounds", "--alphabet-size", "2", "--lengths", "1e6", flag, "9" * 401]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"syncrate: {name} must be at most ")
+        assert "Traceback" not in err
+
+    def test_out_of_memory_is_one(self, tmp_path, monkeypatch, capsys):
+        # a stand-in for an allocation the machine cannot hold: running the
+        # real one could succeed on an overcommitting kernel and then
+        # exhaust memory on the writes
+        def refuse(*_args, **_kwargs):
+            raise MemoryError("Unable to allocate 90.9 TiB")
+
+        monkeypatch.setattr("syncrate.cli.iid_stream", refuse)
+        code, out, err = run(
+            ["generate", "--source", "iid", "--n", "100000000000000",
+             "--out", str(tmp_path / "x.raw")],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "syncrate: Unable to allocate 90.9 TiB\n"
 
     def test_empty_checkpoints(self, workdir, capsys):
         code, _, _ = run(

@@ -133,11 +133,10 @@ class TestEstimatorConfig:
             cfg.epsilon = 0.2
 
 
-def scan_solve(stream_length, alphabet_size, alpha, sample_count, sync_frequency=None):
-    """solve_uncertainty with its grid searched point by point, for reference."""
+def reference_penalty(stream_length, alphabet_size, sample_count, sync_frequency=None):
+    """solve_uncertainty's penalty at a tolerance, written out for reference."""
     c0 = (8.0 / math.e + 8.0 / math.e**2) * (alphabet_size - 1)
     c1 = 2.0 / math.log2(alphabet_size) ** 2
-    budget = 1.0 - alpha
 
     def penalty(eps):
         total = c0 * (1.0 + eps * eps) / (stream_length * eps**3)
@@ -147,24 +146,7 @@ def scan_solve(stream_length, alphabet_size, alpha, sample_count, sync_frequency
             total += math.exp(-eps * sync_frequency * stream_length)
         return total
 
-    feasible_at = None
-    for g in np.geomspace(1e-6, 1.0 - 1e-6, 200):
-        if penalty(float(g)) <= budget:
-            feasible_at = float(g)
-            break
-    if feasible_at is None:
-        return 1.0, math.log2(alphabet_size), True
-    lo, hi = 0.0, feasible_at
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if penalty(mid) <= budget:
-            hi = mid
-        else:
-            lo = mid
-    bound = hi + 2.0 * gen_binary_entropy(hi / 2.0, alphabet_size)
-    if bound > math.log2(alphabet_size):
-        return hi, math.log2(alphabet_size), True
-    return hi, bound, False
+    return penalty
 
 
 class TestSolveUncertainty:
@@ -210,7 +192,8 @@ class TestSolveUncertainty:
         assert not vac
         assert abs(eps - scan) <= 2e-4
 
-    # the grid bisection brackets the root where the point-by-point scan did
+    # the tolerance is the least feasible float: it fits the budget and the
+    # next float down does not
     @settings(max_examples=1000, deadline=None)
     @given(
         length=st.integers(1, 10**10),
@@ -221,10 +204,16 @@ class TestSolveUncertainty:
     )
     @example(length=100, k=2, alpha=0.95, samples=10, p0=None)  # infeasible at 1
     @example(length=5_000, k=2, alpha=0.95, samples=10**7, p0=1.0)  # above 1 bit
-    def test_equals_grid_scan(self, length, k, alpha, samples, p0):
-        assert solve_uncertainty(length, k, alpha, samples, p0) == scan_solve(
-            length, k, alpha, samples, p0
-        )
+    def test_sits_on_the_float_boundary(self, length, k, alpha, samples, p0):
+        penalty = reference_penalty(length, k, samples, p0)
+        budget = 1.0 - alpha
+        eps, bound, vacuous = solve_uncertainty(length, k, alpha, samples, p0)
+        if penalty(1.0) > budget:
+            assert (eps, bound, vacuous) == (1.0, math.log2(k), True)
+            return
+        assert penalty(eps) <= budget < penalty(math.nextafter(eps, 0))
+        b = eps + 2.0 * gen_binary_entropy(eps / 2.0, k)
+        assert (bound, vacuous) == (min(b, math.log2(k)), b > math.log2(k))
 
     def test_sits_on_the_feasibility_boundary(self):
         length, k, alpha, samples = 5_000_000, 2, 0.95, 10_000_000
@@ -236,8 +225,8 @@ class TestSolveUncertainty:
                 -2 * samples * e * e
             )
 
-        assert penalty(eps) <= 0.05
-        assert penalty(eps * 0.999) > 0.05
+        assert penalty(eps) <= 1 - 0.95
+        assert penalty(math.nextafter(eps, 0)) > 1 - 0.95
 
     def test_bound_shrinks_with_stream_length(self):
         bounds = [

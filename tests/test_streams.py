@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,6 @@ from syncrate import (
     transformation_matrix,
     two_state_synchronizable,
 )
-from syncrate.estimator import default_sample_size
 from syncrate.pfsa import evolve, symbol_distribution
 
 
@@ -568,7 +568,7 @@ SIZE_ARGUMENTS = [
     ("alphabet_size", lambda v: solve_uncertainty(100, v, 0.95, 10)),
     ("stream_length", lambda v: solve_uncertainty(v, 2, 0.95, 10)),
     ("sample_count", lambda v: solve_uncertainty(100, 2, 0.95, v)),
-    ("alphabet_size", lambda v: default_sample_size(v)),
+    ("alphabet_size", lambda v: EstimatorConfig(epsilon=0.1).resolved_sample_size(v)),
     ("alphabet_size", lambda v: gen_binary_entropy(0.1, v)),
     ("alphabet_size", lambda v: candidate_length(0.1, v)),
     ("output length", lambda v: ChaoticMapConfig(r=1.5, n=v)),
@@ -597,6 +597,30 @@ def test_size_arguments_refuse_non_integers(name, call, bad):
     with pytest.raises(InvalidInputError) as info:
         call(bad)
     assert name in str(info.value) and repr(bad) in str(info.value)
+
+
+# every size argument that has a largest value, as the name its error gives,
+# a call that passes the value there, and that largest value: the alphabet
+# cap of ``Alphabet``, or the largest integer a float holds
+CAPPED_SIZE_ARGUMENTS = [
+    ("alphabet_size", lambda v: solve_uncertainty(100, v, 0.95, 10), 256),
+    ("alphabet_size", lambda v: EstimatorConfig(epsilon=0.1).resolved_sample_size(v), 256),
+    ("alphabet_size", lambda v: gen_binary_entropy(0.1, v), 256),
+    ("alphabet_size", lambda v: candidate_length(0.1, v), 256),
+    ("stream_length", lambda v: solve_uncertainty(v, 2, 0.95, 10), int(sys.float_info.max)),
+    ("sample_count", lambda v: solve_uncertainty(100, 2, 0.95, v), int(sys.float_info.max)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, call, largest", CAPPED_SIZE_ARGUMENTS,
+    ids=[f"{name}-{i}" for i, (name, _call, _largest) in enumerate(CAPPED_SIZE_ARGUMENTS)],
+)
+def test_size_arguments_refuse_values_above_their_largest(name, call, largest):
+    call(largest)
+    for bad in (largest + 1, 10**400):
+        with pytest.raises(InvalidInputError, match=f"{name} must be at most"):
+            call(bad)
 
 
 # every public real-valued argument, as the name its error gives, a call
