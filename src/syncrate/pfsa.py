@@ -4,7 +4,7 @@ A machine has states 0..Q-1 over an Alphabet of size k, a transition function
 delta (state, symbol) -> state, and per-state emission probabilities pi
 (state, symbol) -> [0, 1] with unit row sums.  Arcs with zero probability may
 leave delta undefined (stored as -1); every positive arc must be defined and
-the positive-arc graph must be strongly connected.
+the positive-arc graph must be strongly connected (checked without scipy).
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import math
 from bisect import bisect_left
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import EstimationError, InvalidInputError
 from .streams import (
@@ -59,7 +57,8 @@ class Pfsa:
 
 
 def validate(p: Pfsa) -> None:
-    """Raise InvalidInputError unless every machine invariant holds."""
+    """Raise InvalidInputError unless every machine invariant holds; strong
+    connectivity takes a stack search from state 0 each way, linear in arcs."""
     delta, pi = p.delta, p.pi
     if delta.ndim != 2 or pi.shape != delta.shape:
         raise InvalidInputError("delta and pi must share shape (states, symbols)")
@@ -81,16 +80,22 @@ def validate(p: Pfsa) -> None:
         raise InvalidInputError(
             "every positive-probability arc needs a target state in range"
         )
-    # strong connectivity over arcs that can actually be taken
-    src, sym = np.nonzero(positive)
-    adj = csr_matrix(
-        (np.ones(src.size), (src, delta[src, sym])), shape=(q, q), dtype=np.int8
-    )
-    n_comp, _ = connected_components(adj, directed=True, connection="strong")
-    if n_comp != 1:
-        raise InvalidInputError(
-            f"positive-arc graph splits into {n_comp} strongly connected pieces"
-        )
+    src, dst = np.nonzero(positive)[0], delta[positive]
+    for tails, heads, fails in ((src, dst, "is not reached from"), (dst, src, "does not reach")):
+        order = np.argsort(tails)
+        nxt = heads[order].tolist()
+        first = np.searchsorted(tails[order], np.arange(q + 1)).tolist()
+        seen, stack = {0}, [0]
+        while stack:
+            s = stack.pop()
+            new = set(nxt[first[s] : first[s + 1]]) - seen
+            seen |= new
+            stack += new
+        if len(seen) < q:
+            raise InvalidInputError(
+                "positive-arc graph is not strongly connected: "
+                f"state {min(set(range(q)) - seen)} {fails} state 0"
+            )
 
 
 def markov_matrix(p: Pfsa) -> np.ndarray:

@@ -48,6 +48,15 @@ MAX_TABLE_ENTRIES = 200_000_000
 MAX_ALPHABET_SIZE = 256
 
 
+def _shown(value) -> str:
+    try:
+        return repr(value)
+    except ValueError:  # an int past Python's int-to-string limit (4,300 digits)
+        from decimal import Decimal  # Decimal(int) is exact, with no such limit
+        digits = Decimal(value).adjusted() + 1
+        return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+
+
 def check_size(value, name: str, minimum: int = 0, maximum=None) -> None:
     """Refuse with InvalidInputError anything but an int or NumPy integer,
     bools excluded, of at least ``minimum`` and, when given, at most
@@ -59,9 +68,9 @@ def check_size(value, name: str, minimum: int = 0, maximum=None) -> None:
         kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
             minimum, f"an integer of at least {minimum}"
         )
-        raise InvalidInputError(f"{name} must be {kind}, got {value!r}")
+        raise InvalidInputError(f"{name} must be {kind}, got {_shown(value)}")
     if maximum is not None and value > maximum:
-        raise InvalidInputError(f"{name} must be at most {maximum!r}, got {value!r}")
+        raise InvalidInputError(f"{name} must be at most {maximum!r}, got {_shown(value)}")
 
 
 def check_real(value, name: str, low, high, closed: str = "()") -> None:
@@ -72,7 +81,7 @@ def check_real(value, name: str, low, high, closed: str = "()") -> None:
     if not (real and (low <= value if closed[0] == "[" else low < value)
             and (value <= high if closed[1] == "]" else value < high)):
         interval = f"{closed[0]}{low}, {high}{closed[1]}"
-        raise InvalidInputError(f"{name} must lie in {interval}, got {value!r}")
+        raise InvalidInputError(f"{name} must lie in {interval}, got {_shown(value)}")
 
 
 def check_array(values, name: str, kinds: str = "iuf") -> np.ndarray:

@@ -3,9 +3,9 @@
 A word synchronizes an observer when the next-symbol distribution after it no
 longer depends on what came before it.  Good candidates show up as extreme
 points of the cloud of symbolic derivatives: interior points are mixtures of
-several hidden states, vertices are not.  The search collects derivatives of
-all sufficiently frequent words and tests them, most frequent first, up to
-the first hull vertex, which it picks.
+several hidden states, vertices are not.  The search tests the derivatives of
+all frequent words, most frequent first, and picks the first hull vertex; its
+first linear program (none for binary streams) imports ``scipy.optimize``.
 """
 
 import functools
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InsufficientDataError, InvalidInputError
 from .streams import MAX_ALPHABET_SIZE, Alphabet, CountTable, check_real, check_size
@@ -75,6 +74,7 @@ def collect_derivatives(table: CountTable, max_len: int, min_count: int) -> Deri
 
 
 def _is_vertex(points: np.ndarray, index: int) -> bool:
+    from scipy.optimize import linprog  # loaded by the first program only
     # vertex iff the point cannot be written as a convex mix of the others
     others = np.delete(points, index, axis=0)
     target = points[index]
@@ -128,7 +128,8 @@ def hull_vertex_words(derivs: DerivativeMap) -> list:
     (6,912), raise InvalidInputError before any program is solved.  On
     2 vCPUs 256 points took 1.4 s over 8 symbols and 2.6-3.1 s over 27,
     512 points 4.3 s and 8.9 s; over 256 symbols the 27 points the
-    product allows took 0.3 s, 64 points 1.8 s and 257 points 28 s.
+    product allows took 0.3 s, 64 points 1.8 s and 257 points 28 s, besides
+    the one-off ``scipy.optimize`` import (about 0.5 s) of the first program.
     """
     return list(filter(_vertex_test(derivs), derivs.entries))
 

@@ -1,9 +1,13 @@
 import hashlib
+import re
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,6 +77,35 @@ def machines_with_zero_arcs(draw):
     return Pfsa(Alphabet(labels), delta, weights / weights.sum(axis=1, keepdims=True))
 
 
+def random_machine_arrays(rng):
+    """delta and pi of a random machine of 1 to 8 states over 2 or 3 symbols,
+    valid but for connectivity: zero arcs, half of them undefined (-1),
+    self-loops, and arcs with no path back.  Half the machines get a ring on
+    one symbol, so both verdicts are common."""
+    q, k = int(rng.integers(1, 9)), int(rng.integers(2, 4))
+    delta = rng.integers(0, q, size=(q, k))
+    pi = rng.dirichlet(np.ones(k), size=q)
+    pi[rng.random((q, k)) < 0.4] = 0.0
+    pi[np.arange(q), rng.integers(0, k, size=q)] += 0.5  # no row left empty
+    if rng.random() < 0.5:
+        delta[:, 0] = (np.arange(q) + 1) % q
+        pi[:, 0] += 0.1
+    pi /= pi.sum(axis=1, keepdims=True)
+    delta[(pi == 0.0) & (rng.random((q, k)) < 0.5)] = -1
+    return delta, pi
+
+
+def positive_reach(delta, pi):
+    # reference oracle: reach[i, j] iff positive arcs lead from i to j
+    q = delta.shape[0]
+    reach = np.eye(q, dtype=bool)
+    src, sym = np.nonzero(pi > 0.0)
+    reach[src, delta[src, sym]] = True
+    for _ in range(q):
+        reach = reach | (reach.astype(int) @ reach.astype(int) > 0)
+    return reach
+
+
 def reference_simulate(p, n, seed, initial_state):
     # reference oracle: linear scan of each cumulative row
     rng = np.random.default_rng(seed)
@@ -111,12 +144,48 @@ class TestValidation:
             Pfsa(BINARY, [[0, -1]], [[0.5, 0.5]])
 
     def test_disconnected(self):
-        with pytest.raises(InvalidInputError, match="strongly connected"):
+        with pytest.raises(InvalidInputError, match="strongly connected: state 1 is not reached"):
             Pfsa(
                 BINARY,
                 [[0, -1], [-1, 1]],
                 [[1.0, 0.0], [0.0, 1.0]],
             )
+
+    def test_state_that_cannot_return_is_named(self):
+        # 0 -> 1 -> 2 -> 1: state 0 reaches all, but nothing leads back to it
+        with pytest.raises(InvalidInputError, match="state 1 does not reach state 0"):
+            Pfsa(BINARY, [[1, -1], [2, -1], [1, -1]], [[1.0, 0.0]] * 3)
+
+    def test_connectivity_matches_scipy_strong_components(self):
+        rng = np.random.default_rng(2024)
+        verdicts = []
+        for _ in range(600):
+            delta, pi = random_machine_arrays(rng)
+            q, k = delta.shape
+            src, sym = np.nonzero(pi > 0.0)
+            adj = csr_matrix((np.ones(src.size), (src, delta[src, sym])), shape=(q, q))
+            want = connected_components(adj, directed=True, connection="strong")[0] == 1
+            try:
+                Pfsa(Alphabet("abc"[:k]), delta, pi)
+                got = True
+            except InvalidInputError as exc:
+                # the state the refusal names fails the way it says
+                state, fails = re.search(r"state (\d+) (is not reached from|does not reach)",
+                                         str(exc)).groups()
+                reach = positive_reach(delta, pi)
+                assert not (reach[0, int(state)] if fails == "is not reached from"
+                            else reach[int(state), 0])
+                got = False
+            assert got == want, (delta, pi)
+            verdicts.append(got)
+        assert 100 < sum(verdicts) < 500
+
+    def test_connectivity_check_is_linear_in_arcs(self):
+        # a breadth-first frontier loop costs diameter times arcs, which on
+        # this ring is about 1e10 steps
+        start = time.perf_counter()
+        ring_machine(100_000)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize(
         "delta, pi",

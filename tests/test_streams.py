@@ -585,9 +585,20 @@ SIZE_ARGUMENTS = [
 ]
 
 
+# past Python's 4,300-digit int-to-string limit, so repr raises ValueError
+HUGE = 10**5000
+
+
+def shown(bad):
+    """How a refusal shows a value: an int too long for repr by its digits."""
+    if type(bad) is int and abs(bad) == HUGE:
+        return f"{'a negative' if bad < 0 else 'an'} integer of 5001 digits"
+    return repr(bad)
+
+
 @pytest.mark.parametrize(
-    "bad", [1e3, 2.5, True, np.bool_(True), float("nan"), -1],
-    ids=["1e3", "2.5", "True", "numpy-True", "nan", "-1"],
+    "bad", [1e3, 2.5, True, np.bool_(True), float("nan"), -1, -HUGE],
+    ids=["1e3", "2.5", "True", "numpy-True", "nan", "-1", "-10**5000"],
 )
 @pytest.mark.parametrize(
     "name, call", SIZE_ARGUMENTS,
@@ -596,7 +607,7 @@ SIZE_ARGUMENTS = [
 def test_size_arguments_refuse_non_integers(name, call, bad):
     with pytest.raises(InvalidInputError) as info:
         call(bad)
-    assert name in str(info.value) and repr(bad) in str(info.value)
+    assert name in str(info.value) and shown(bad) in str(info.value)
 
 
 # every size argument that has a largest value, as the name its error gives,
@@ -618,9 +629,10 @@ CAPPED_SIZE_ARGUMENTS = [
 )
 def test_size_arguments_refuse_values_above_their_largest(name, call, largest):
     call(largest)
-    for bad in (largest + 1, 10**400):
-        with pytest.raises(InvalidInputError, match=f"{name} must be at most"):
+    for bad in (largest + 1, 10**400, HUGE):
+        with pytest.raises(InvalidInputError, match=f"{name} must be at most") as info:
             call(bad)
+        assert shown(bad) in str(info.value)
 
 
 # every public real-valued argument, as the name its error gives, a call
@@ -652,11 +664,12 @@ def _number_cases():
         below = low if closed[0] == "(" else math.nextafter(low, -math.inf)
         above = high if closed[1] == ")" else math.nextafter(high, math.inf)
         bads = {"str": "0.1", "None": None, "nan": math.nan, "True": True,
-                "numpy-True": np.bool_(True), "below": below, "above": above}
+                "numpy-True": np.bool_(True), "below": below, "above": above,
+                "10**5000": HUGE, "-10**5000": -HUGE}
         if name == "sync_frequency":
             del bads["None"]  # None leaves out the synchronization term
         for label, bad in bads.items():
-            words = (f"{name} must lie in", repr(bad))
+            words = (f"{name} must lie in", shown(bad))
             yield pytest.param(call, bad, words, id=f"{name}-{i}-{label}")
     for i, (name, call, wrong_length) in enumerate(DISTRIBUTION_ARGUMENTS):
         bads = {"strings": ["a", "b"], "nan": [math.nan, 1.0], "sum": [0.9, 0.9],
