@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .errors import InsufficientDataError, InvalidInputError
 from .streams import (
-    MAX_ALPHABET_SIZE, CountTable, SymbolStream, build_count_table, check_real, check_size, entropy
+    _CODE_BITS, MAX_ALPHABET_SIZE, CountTable, SymbolStream, build_count_table, check_real,
+    check_size, entropy,
 )
 from .sync import SyncResult, candidate_length, collect_derivatives, find_sync_string
 
@@ -45,7 +46,7 @@ class EstimatorConfig:
         if self.sample_size is not None:
             check_size(self.sample_size, "sample_size", 1)
         if self.max_extension_length is not None:
-            check_size(self.max_extension_length, "max_extension_length")
+            check_size(self.max_extension_length, "max_extension_length", 0, _CODE_BITS - 1)
         check_size(self.min_count, "min_count")
 
     def resolved_sample_size(self, alphabet_size: int) -> int:
@@ -272,6 +273,8 @@ def search_settings(
     """
     if search_length is None:
         search_length = candidate_length(epsilon, stream.alphabet.size)
+    # no count table covers a deeper search; refused before it reaches an exponent
+    check_size(search_length, "search_length", 0, _CODE_BITS - 1)
     if collect_min_count is None:
         collect_min_count = collect_threshold(len(stream), min_count)
     return search_length, collect_min_count

@@ -130,14 +130,10 @@ def lz78_curve(
     if not checkpoints:
         return []
     for m in checkpoints:
-        check_size(m, "checkpoint", 1)
+        check_size(m, "checkpoint (capped by the stream length)", 1, len(stream))
     marks = [int(m) for m in checkpoints]
     if any(b <= a for a, b in zip(marks, marks[1:])):
         raise InvalidInputError("checkpoints must be strictly ascending")
-    if marks[-1] > len(stream):
-        raise InvalidInputError(
-            f"checkpoint {marks[-1]} beyond the stream length {len(stream)}"
-        )
     ends = _parse(stream.data[: marks[-1]])
     before = np.searchsorted(ends, marks, side="left")
     rows: list[tuple[int, float]] = []

@@ -105,9 +105,7 @@ def markov_matrix(p: Pfsa) -> np.ndarray:
 
 def transformation_matrix(p: Pfsa, symbol: int) -> np.ndarray:
     """Per-symbol evolution matrix: entry (i, delta(i, symbol)) = pi(i, symbol)."""
-    check_size(symbol, "symbol index")
-    if symbol >= p.alphabet.size:
-        raise InvalidInputError(f"symbol index {symbol} outside alphabet")
+    check_size(symbol, "symbol index", 0, p.alphabet.size - 1)
     q = p.n_states
     g = np.zeros((q, q))
     active = p.pi[:, symbol] > 0.0
@@ -209,10 +207,8 @@ def simulate(p: Pfsa, n: int, seed=None, initial_state=None) -> SymbolStream:
     if initial_state is None:
         state = int(rng.choice(p.n_states, p=stationary_distribution(p)))
     else:
-        check_size(initial_state, "initial state")
+        check_size(initial_state, "initial state", 0, p.n_states - 1)
         state = int(initial_state)
-        if state >= p.n_states:
-            raise InvalidInputError(f"initial state {state} out of range")
     cum = np.cumsum(p.pi, axis=1)
     cum[:, -1] = 1.0
     out = np.empty(n, dtype=np.uint8)

@@ -121,12 +121,9 @@ class Alphabet:
 
     def __init__(self, labels):
         labels = tuple(str(c) for c in labels)
-        if len(labels) < 2:
-            raise InvalidInputError("alphabet needs at least two symbols")
+        check_size(len(labels), "alphabet size", 2, MAX_ALPHABET_SIZE)
         if len(set(labels)) != len(labels):
             raise InvalidInputError("alphabet labels must be distinct")
-        if len(labels) > MAX_ALPHABET_SIZE:
-            raise InvalidInputError(f"alphabet larger than {MAX_ALPHABET_SIZE} symbols")
         self.labels = labels
         self._index = {c: i for i, c in enumerate(labels)}
 
@@ -199,9 +196,7 @@ class SymbolStream:
 def _encode(word, k: int) -> int:
     code = 0
     for sym in word:
-        check_size(sym, "word symbol")
-        if sym >= k:
-            raise InvalidInputError("word contains a symbol outside the alphabet")
+        check_size(sym, "word symbol", 0, k - 1)
         code = code * k + int(sym)
     return code
 
@@ -270,10 +265,8 @@ class CountTable:
         successors of the word with code c fill the range [c*k, c*k + k) of
         level length + 1, found by two searches per word.
         """
-        if length > self.max_len:
-            raise InvalidInputError(
-                f"successors of a length-{length} word need coverage {length + 1}"
-            )
+        check_size(length, "length (the table covers successors of words up to max_len)",
+                   0, self.max_len)
         k = self.alphabet.size
         first = np.asarray(codes, dtype=np.int64) * k
         stored, counts = self.level(length + 1)
@@ -288,10 +281,8 @@ class CountTable:
 
     def level(self, length: int):
         """(codes, counts) arrays of all stored words of one length."""
-        if not 0 <= length <= self.max_len + 1:
-            raise InvalidInputError(
-                f"word of length {length} beyond table coverage {self.max_len + 1}"
-            )
+        check_size(length, "length (the table covers words up to max_len + 1)",
+                   0, self.max_len + 1)
         codes, counts = self._deepest
         if length == self._top:
             return codes, counts
@@ -320,12 +311,8 @@ class CountTable:
         occurrences.  The next length's words are the row entries, so each
         level is read once; no word outnumbers its prefix, so none is missed.
         The root's count is ``count(root)``, zero below the table's root."""
-        check_size(depth, "depth")
+        check_size(depth, "depth (the table covers words up to max_len)", 0, self.max_len)
         check_size(floor, "count floor")
-        if depth > self.max_len:
-            raise InvalidInputError(
-                f"count table covers words up to length {self.max_len}, walk needs {depth}"
-            )
         floor = max(floor, 1)
         view = self.rooted(root)
         k = self.alphabet.size
@@ -351,10 +338,8 @@ class CountTable:
         shares the table's arrays and derives its own levels from the slice.
         """
         r = len(word)
-        if r > self.max_len + 1:
-            raise InvalidInputError(
-                f"word of length {r} beyond table coverage {self.max_len + 1}"
-            )
+        check_size(r, "word length (the table covers words up to max_len + 1)",
+                   0, self.max_len + 1)
         base = self.encode(word)
         k = self.alphabet.size
         codes, counts = self._deepest
@@ -431,17 +416,12 @@ def build_count_table(s: SymbolStream, max_len: int, root=()) -> CountTable:
     per window and one per code of the symbols behind the root.  Refuses
     codes that would overflow int64 the same way.
     """
-    check_size(max_len, "max_len")
     k = s.alphabet.size
+    check_size(max_len, "max_len (longer words overflow the int64 code range)",
+               0, math.floor(_CODE_BITS / math.log2(k)) - 1)
     n = len(s)
-    depth = max_len + 1
-    if depth * math.log2(k) > _CODE_BITS:
-        raise InvalidInputError(
-            f"words of length {depth} over {k} symbols exceed the int64 code "
-            "range; reduce max_len or use a smaller alphabet"
-        )
     r = len(root)
-    top = min(depth, n)
+    top = min(max_len + 1, n)
     if min(n, k ** max(top - r, 0)) > MAX_TABLE_ENTRIES:
         raise InvalidInputError(
             f"count table would hold more than {MAX_TABLE_ENTRIES} entries; "

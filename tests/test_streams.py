@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 
@@ -26,6 +27,7 @@ from syncrate import (
     transformation_matrix,
     two_state_synchronizable,
 )
+from syncrate.estimator import search_settings
 from syncrate.pfsa import evolve, symbol_distribution
 
 
@@ -484,7 +486,7 @@ class TestCountTable:
     def test_query_beyond_coverage(self):
         t = build_count_table(stream_from("010101"), max_len=2)
         t.count((0, 1, 0))  # max_len + 1 is covered
-        with pytest.raises(InvalidInputError, match="length 4 beyond table coverage 3"):
+        with pytest.raises(InvalidInputError, match=r"word length .* must be at most 3, got 4"):
             t.count((0, 1, 0, 1))
 
     def test_code_overflow_guard(self):
@@ -582,6 +584,9 @@ SIZE_ARGUMENTS = [
     ("checkpoint", lambda v: lz78_curve(stream_from("0101"), [v])),
     ("word symbol", lambda v: _table().count((v,))),
     ("word symbol", lambda v: build_count_table(stream_from("0101"), 2, root=(v,))),
+    ("length (the table covers words up to max_len + 1)", lambda v: _table().level(v)),
+    ("length (the table covers successors of words up to max_len)",
+     lambda v: _table().successor_rows([0], v)),
 ]
 
 
@@ -612,7 +617,11 @@ def test_size_arguments_refuse_non_integers(name, call, bad):
 
 # every size argument that has a largest value, as the name its error gives,
 # a call that passes the value there, and that largest value: the alphabet
-# cap of ``Alphabet``, or the largest integer a float holds
+# cap of ``Alphabet``, the largest integer a float holds, the last index, the
+# stream length, the table's reach, or 61, the largest max_len that a binary
+# count table codes in int64.
+# Arguments sized from an iterable, such as a word, are left out: building
+# one of 10**400 elements never ends.
 CAPPED_SIZE_ARGUMENTS = [
     ("alphabet_size", lambda v: solve_uncertainty(100, v, 0.95, 10), 256),
     ("alphabet_size", lambda v: EstimatorConfig(epsilon=0.1).resolved_sample_size(v), 256),
@@ -620,6 +629,19 @@ CAPPED_SIZE_ARGUMENTS = [
     ("alphabet_size", lambda v: candidate_length(0.1, v), 256),
     ("stream_length", lambda v: solve_uncertainty(v, 2, 0.95, 10), int(sys.float_info.max)),
     ("sample_count", lambda v: solve_uncertainty(100, 2, 0.95, v), int(sys.float_info.max)),
+    ("initial state", lambda v: simulate(two_state_synchronizable(), 10, initial_state=v), 1),
+    ("symbol index", lambda v: transformation_matrix(two_state_synchronizable(), v), 1),
+    ("word symbol", lambda v: _table().count((v,)), 1),
+    ("checkpoint (capped by the stream length)",
+     lambda v: lz78_curve(stream_from("0101"), [v]), 4),
+    ("depth (the table covers words up to max_len)", lambda v: list(_table().walk((), 1, v)), 2),
+    ("length (the table covers words up to max_len + 1)", lambda v: _table().level(v), 3),
+    ("length (the table covers successors of words up to max_len)",
+     lambda v: _table().successor_rows([0], v), 2),
+    ("max_len (longer words overflow the int64 code range)",
+     lambda v: build_count_table(stream_from("0101"), v), 61),
+    ("max_extension_length", lambda v: EstimatorConfig(epsilon=0.1, max_extension_length=v), 61),
+    ("search_length", lambda v: search_settings(stream_from("0101"), 0.1, 10, v), 61),
 ]
 
 
@@ -630,7 +652,7 @@ CAPPED_SIZE_ARGUMENTS = [
 def test_size_arguments_refuse_values_above_their_largest(name, call, largest):
     call(largest)
     for bad in (largest + 1, 10**400, HUGE):
-        with pytest.raises(InvalidInputError, match=f"{name} must be at most") as info:
+        with pytest.raises(InvalidInputError, match=re.escape(f"{name} must be at most")) as info:
             call(bad)
         assert shown(bad) in str(info.value)
 
