@@ -124,13 +124,13 @@ def solve_uncertainty(
     of extensions a sampled Phase II drew, and the third when
     ``sync_frequency`` is given.  Each penalty falls monotonically in the
     tolerance, so the feasible tolerances in (0, 1] form an interval that
-    ends at 1.  When 1 itself is infeasible the bound degrades to log2(k),
-    flagged vacuous, with tolerance 1.  Otherwise one bisection on (0, 1]
-    halves until no float lies between its ends, and ``epsilon_star`` is
-    the least feasible tolerance, exact to the float: its penalty fits the
-    budget and the next float down's does not.  A bound above log2(k) says
-    nothing an entropy rate in [0, log2(k)] does not, so it is also reported
-    as log2(k), flagged vacuous, with the solved tolerance kept.
+    ends at 1.  One bisection on (0, 1] halves until no float lies between
+    its ends, and ``epsilon_star`` is the least feasible tolerance, exact to
+    the float: its penalty fits the budget and the next float down's does
+    not.  A bound above log2(k) says nothing an entropy rate in [0, log2(k)]
+    does not, so it is reported as log2(k), flagged vacuous, with the solved
+    tolerance kept; when no tolerance fits, the bisection ends at 1, whose
+    bound 3 + log2(k - 1) always exceeds log2(k).
     """
     check_size(alphabet_size, "alphabet_size", 2, MAX_ALPHABET_SIZE)
     check_size(stream_length, "stream_length", 1, sys.float_info.max)
@@ -153,8 +153,6 @@ def solve_uncertainty(
             total += math.exp(-eps * sync_frequency * stream_length)
         return total
 
-    if penalty(1.0) > budget:
-        return 1.0, log2k, True
     lo, hi = 0.0, 1.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if penalty(mid) <= budget:
@@ -305,8 +303,8 @@ def estimate_entropy_rate(
     where x0 starts 7% of the windows, the split took 0.09-0.11 s against
     0.30-0.32 s for one table; on 1e7 quadratic-map symbols with ext_max 5
     (2^11 deep codes), one table took 0.040-0.042 s against 0.069-0.075 s,
-    and the chaos-curve bench job peaked at 137 MB resident against 154 MB
-    when it always split (seed 1, 3 runs each).  The split tables are
+    and the chaos-curve bench job peaked at 93 MB resident against 110 MB
+    when it always split (seeds 11-13, one run each).  The split tables are
     shallower than the single one, with fewer possible codes, so a stream
     whose single table would exceed the int64 code range or
     ``streams.MAX_TABLE_ENTRIES`` can still get an estimate.

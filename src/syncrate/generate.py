@@ -30,6 +30,8 @@ TEXT27 = Alphabet(tuple(string.ascii_lowercase) + (" ",))
 # iterates of the chaotic map held in Python floats before their symbols
 # are written
 _ORBIT_BLOCK = 1 << 14
+# the longest burn-in a config accepts, about 6 s of the Python loop
+MAX_BURN_IN = 10**8
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ class ChaoticMapConfig:
         check_real(self.r, "map parameter", 0, 2, "(]")
         check_real(self.x0, "initial condition", -1, 1)
         check_size(self.n, "output length", 1)
-        check_size(self.burn_in, "burn_in")
+        check_size(self.burn_in, "burn_in", 0, MAX_BURN_IN)
 
 
 def chaotic_stream(cfg: ChaoticMapConfig) -> SymbolStream:

@@ -118,7 +118,7 @@ def lz78_curve(
     """Estimate over stream prefixes, from one parse.
 
     ``checkpoints`` must be ascending integer lengths within the stream, in
-    a list or a NumPy array.  Each row is ``(length, estimate)`` where the
+    any iterable.  Each row is ``(length, estimate)`` where the
     estimate counts phrases of the prefix, including a partial one in
     progress.  The parse runs over the stream up to the last checkpoint
     only; because the incremental parse of a prefix is the prefix of the
@@ -126,15 +126,13 @@ def lz78_curve(
     offsets below m, found by one binary search, plus the one phrase,
     complete or not, that holds the m-th symbol.
     """
-    checkpoints = list(checkpoints)  # a NumPy array has no truth value
-    if not checkpoints:
-        return []
+    checkpoints = list(checkpoints)  # read twice below, so a generator works too
     for m in checkpoints:
         check_size(m, "checkpoint (capped by the stream length)", 1, len(stream))
     marks = [int(m) for m in checkpoints]
     if any(b <= a for a, b in zip(marks, marks[1:])):
         raise InvalidInputError("checkpoints must be strictly ascending")
-    ends = _parse(stream.data[: marks[-1]])
+    ends = _parse(stream.data[: marks[-1] if marks else 0])
     before = np.searchsorted(ends, marks, side="left")
     rows: list[tuple[int, float]] = []
     for m, done in zip(marks, before):

@@ -354,6 +354,15 @@ def format_pfsa(p: Pfsa) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _field(conv, text: str, no: int, what: str):
+    """``conv(text)``, or InvalidInputError "line NO: WHAT", with ``{!r}`` in
+    ``what`` standing for the text, when the conversion raises ValueError."""
+    try:
+        return conv(text)
+    except ValueError:  # the alphabet's InvalidInputError is one too
+        raise InvalidInputError(f"line {no}: " + what.format(text)) from None
+
+
 def parse_pfsa(text: str) -> Pfsa:
     """Parse the text form.  Errors carry 1-based line numbers.  The arrays
     are allocated only after the arcs are read and number the states."""
@@ -370,12 +379,7 @@ def parse_pfsa(text: str) -> Pfsa:
                     f"line {no}: header must read 'pfsa <n_states> <label...>' "
                     "with at least two labels"
                 )
-            try:
-                n_states = int(parts[1])
-            except ValueError:
-                raise InvalidInputError(
-                    f"line {no}: state count {parts[1]!r} is not an integer"
-                ) from None
+            n_states = _field(int, parts[1], no, "state count {!r} is not an integer")
             if n_states < 1:
                 raise InvalidInputError(f"line {no}: state count must be positive")
             alphabet = Alphabet(parts[2:])
@@ -385,23 +389,12 @@ def parse_pfsa(text: str) -> Pfsa:
             raise InvalidInputError(
                 f"line {no}: arc must read 'src symbol dst prob', got {len(parts)} fields"
             )
-        try:
-            src = int(parts[0])
-            dst = int(parts[2])
-        except ValueError:
-            raise InvalidInputError(f"line {no}: state indices must be integers") from None
+        src = _field(int, parts[0], no, "state indices must be integers")
+        dst = _field(int, parts[2], no, "state indices must be integers")
         if not 0 <= src < n_states or not 0 <= dst < n_states:
             raise InvalidInputError(f"line {no}: state index out of range 0..{n_states - 1}")
-        try:
-            sym = alphabet.index(parts[1])
-        except InvalidInputError:
-            raise InvalidInputError(
-                f"line {no}: symbol {parts[1]!r} not in the declared alphabet"
-            ) from None
-        try:
-            prob = float(parts[3])
-        except ValueError:
-            raise InvalidInputError(f"line {no}: probability {parts[3]!r} is not a number") from None
+        sym = _field(alphabet.index, parts[1], no, "symbol {!r} not in the declared alphabet")
+        prob = _field(float, parts[3], no, "probability {!r} is not a number")
         if not 0.0 <= prob <= 1.0:
             raise InvalidInputError(f"line {no}: probability {prob!r} outside [0, 1]")
         if (src, sym) in arcs:

@@ -252,23 +252,25 @@ class CountTable:
 
     def count(self, word) -> int:
         """Occurrences of ``word``; zero for a word shorter than the table's root."""
-        view = self.rooted(word)  # refuses a bad symbol or a word beyond coverage
-        if len(word) < self._root_len:
-            return 0
-        return int(view._deepest[1].sum() + view._cut[1].size)
+        return int(self.rooted(word).level(len(word))[1].sum())
 
     def successor_rows(self, codes, length) -> np.ndarray:
         """Successor counts of words of one length <= max_len, given by code.
 
         Row i of the (len(codes), k) result holds the count of word_i + sigma
-        for each symbol sigma; an empty code array gives zero rows.  The
+        for each symbol sigma; an empty code array gives zero rows, and one
+        that is not a vector of integers in [0, k**length) is refused.  The
         successors of the word with code c fill the range [c*k, c*k + k) of
         level length + 1, found by two searches per word.
         """
         check_size(length, "length (the table covers successors of words up to max_len)",
                    0, self.max_len)
         k = self.alphabet.size
-        first = np.asarray(codes, dtype=np.int64) * k
+        codes = np.asarray(codes)
+        if codes.size and not (codes.ndim == 1 and codes.dtype.kind in "iu"
+                               and codes.min() >= 0 and codes.max() < k**length):
+            raise InvalidInputError(f"codes must be integers in [0, {k**length})")
+        first = codes.astype(np.int64) * k
         stored, counts = self.level(length + 1)
         lo = np.searchsorted(stored, first)
         found = np.searchsorted(stored, first + k) - lo
@@ -312,12 +314,11 @@ class CountTable:
         level is read once; no word outnumbers its prefix, so none is missed.
         The root's count is ``count(root)``, zero below the table's root."""
         check_size(depth, "depth (the table covers words up to max_len)", 0, self.max_len)
-        check_size(floor, "count floor")
+        check_size(floor, "count floor", 0, np.iinfo(np.int64).max)  # counts are int64
         floor = max(floor, 1)
         view = self.rooted(root)
         k = self.alphabet.size
-        codes = np.array([view.encode(root)], dtype=np.int64)
-        counts = np.array([self.count(root)], dtype=np.int64)
+        codes, counts = view.level(len(root))
         for length in range(len(root), depth + 1):
             keep = counts >= floor
             codes, counts = codes[keep], counts[keep]

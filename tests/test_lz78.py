@@ -209,6 +209,7 @@ class TestCurve:
         s = SymbolStream(data, ABC)
         rows = lz78_curve(s, [10, 500, 2_500, 5_000])
         assert lz78_curve(s, np.array([10, 500, 2_500, 5_000])) == rows
+        assert lz78_curve(s, iter([10, 500, 2_500, 5_000])) == rows
         for length, est in rows:
             _pairs, _tail, _ends, counts = reference_parse(data[:length].tolist())
             c = counts[length]

@@ -300,6 +300,14 @@ class TestCountTable:
         with pytest.raises(InvalidInputError):
             t.successor_rows([0], max_len + 1)
 
+    @pytest.mark.parametrize(
+        "codes", [[2.7], [99], [-1], [True], [10**30], ["a"], [[0]], 0],
+        ids=["float", "above", "negative", "bool", "huge", "string", "matrix", "scalar"],
+    )
+    def test_successor_rows_refuse_codes_outside_the_level(self, codes):
+        with pytest.raises(InvalidInputError, match=re.escape("codes must be integers in [0, 2)")):
+            _table().successor_rows(codes, 1)
+
     @given(rooted_tables())
     @example((2, [], 3, ()))
     @example((2, [], 3, (1,)))
@@ -642,6 +650,8 @@ CAPPED_SIZE_ARGUMENTS = [
      lambda v: build_count_table(stream_from("0101"), v), 61),
     ("max_extension_length", lambda v: EstimatorConfig(epsilon=0.1, max_extension_length=v), 61),
     ("search_length", lambda v: search_settings(stream_from("0101"), 0.1, 10, v), 61),
+    ("count floor", lambda v: list(_table().walk((), v, 2)), 2**63 - 1),
+    ("burn_in", lambda v: ChaoticMapConfig(r=1.5, n=10, burn_in=v), 10**8),
 ]
 
 
