@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .errors import InsufficientDataError, InvalidInputError
 from .streams import (
-    _CODE_BITS, MAX_ALPHABET_SIZE, CountTable, SymbolStream, build_count_table, check_real,
-    check_size, entropy,
+    _CODE_BITS, MAX_ALPHABET_SIZE, CountTable, SymbolStream, build_count_table, check_array,
+    check_real, check_size, entropy,
 )
 from .sync import SyncResult, candidate_length, collect_derivatives, find_sync_string
 
@@ -174,7 +174,9 @@ def bound_curve(
 ) -> list:
     """Uncertainty bound per stream length, as (length, bound) rows."""
     try:
-        lengths = [int(n) for n in lengths]
+        lengths = [int(n) for n in check_array(list(lengths), "lengths")]
+    except InvalidInputError:  # strings, ragged rows, ints too long for repr
+        raise
     except (TypeError, ValueError, OverflowError):  # None, nan, inf
         raise InvalidInputError(f"lengths must be finite numbers, got {lengths!r}") from None
     if not lengths or any(n < 1 for n in lengths):

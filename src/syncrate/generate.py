@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidInputError
 from .streams import (
     BINARY, DRAW_BLOCK, Alphabet, SymbolStream, check_distribution, check_real, check_size
 )
@@ -51,7 +52,7 @@ class ChaoticMapConfig:
     def __post_init__(self):
         check_real(self.r, "map parameter", 0, 2, "(]")
         check_real(self.x0, "initial condition", -1, 1)
-        check_size(self.n, "output length", 1)
+        check_size(self.n, "output length", 1, np.iinfo(np.int64).max)
         check_size(self.burn_in, "burn_in", 0, MAX_BURN_IN)
 
 
@@ -102,7 +103,7 @@ def iid_stream(probs, n: int, seed: int = 0) -> SymbolStream:
     one-byte stream.
     """
     p = check_distribution(probs, "probabilities")
-    check_size(n, "stream length", 1)
+    check_size(n, "stream length", 1, np.iinfo(np.int64).max)
     check_size(seed, "seed")
     alphabet = Alphabet(tuple(str(i) for i in range(p.size)))
     cdf = (p / p.sum()).cumsum()
@@ -119,14 +120,14 @@ def iid_stream(probs, n: int, seed: int = 0) -> SymbolStream:
 def normalize_text(raw) -> SymbolStream:
     """Fold text onto 27 symbols: lowercase letters plus single spaces.
 
-    Accepts str or bytes.  Every maximal run of non-letters becomes one
-    space, and the result carries no leading or trailing space, so the
-    mapping is idempotent.
+    Accepts str, bytes or bytearray and refuses anything else.  Every
+    maximal run of non-letters becomes one space, and the result carries no
+    leading or trailing space, so the mapping is idempotent.
     """
     if isinstance(raw, (bytes, bytearray)):
-        text = bytes(raw).decode("latin-1")
-    else:
-        text = str(raw)
-    folded = re.sub(r"[^a-z]+", " ", text.lower()).strip()
+        raw = bytes(raw).decode("latin-1")
+    if not isinstance(raw, str):
+        raise InvalidInputError(f"text must be str or bytes, got {type(raw).__name__}")
+    folded = re.sub(r"[^a-z]+", " ", raw.lower()).strip()
     codes = np.frombuffer(folded.encode("ascii", errors="replace"), dtype=np.uint8)
     return SymbolStream(np.where(codes == ord(" "), 26, codes - ord("a")), TEXT27)

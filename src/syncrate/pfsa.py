@@ -200,7 +200,7 @@ def simulate(p: Pfsa, n: int, seed=None, initial_state=None) -> SymbolStream:
     0.10-0.13 s against 0.20-0.25 s), so the constant keeps a margin of
     about two.
     """
-    check_size(n, "stream length")
+    check_size(n, "stream length", 0, np.iinfo(np.int64).max)
     if seed is not None:
         check_size(seed, "seed")
     rng = np.random.default_rng(seed)

@@ -84,15 +84,20 @@ def check_real(value, name: str, low, high, closed: str = "()") -> None:
         raise InvalidInputError(f"{name} must lie in {interval}, got {_shown(value)}")
 
 
-def check_array(values, name: str, kinds: str = "iuf") -> np.ndarray:
+def check_array(values, name: str, kinds: str = "iuf", below=None) -> np.ndarray:
     """``values`` as a NumPy array, refused with InvalidInputError when it is
     ragged or its dtype kind is not in ``kinds``: "iu" takes integers, "iuf"
-    real numbers, and neither takes bools, strings or None."""
+    real numbers, and neither takes bools, strings or None.  Given ``below``,
+    only a vector of values in [0, below) passes; an empty one always does."""
     try:
         arr = np.asarray(values)
     except (TypeError, ValueError):  # ragged rows
         arr = None
-    if arr is None or arr.dtype.kind not in kinds:
+    if below is not None:
+        if arr is None or arr.ndim != 1 or arr.size and not (
+                arr.dtype.kind in kinds and arr.min() >= 0 and arr.max() < below):
+            raise InvalidInputError(f"{name} must be integers in [0, {below})")
+    elif arr is None or arr.dtype.kind not in kinds:
         what = "integers" if kinds == "iu" else "real numbers"
         raise InvalidInputError(f"{name} must be an array of {what}")
     return arr
@@ -162,20 +167,15 @@ BINARY = Alphabet(("0", "1"))
 class SymbolStream:
     """Immutable run of symbol indices over a fixed alphabet, one byte each.
 
-    ``data`` is read-only uint8.  Integer and bool input is range-checked
-    before that cast, so nothing wraps; other input goes through int64
-    first.  A read-only uint8 array that owns its memory is kept, not copied.
+    ``data`` is read-only uint8.  Input must be integers or bools in [0, k),
+    checked before that cast, so nothing wraps; floats and strings are
+    refused.  A read-only uint8 array that owns its memory is kept, not copied.
     """
 
     __slots__ = ("alphabet", "data")
 
     def __init__(self, data, alphabet: Alphabet):
-        arr = np.asarray(data)
-        arr = arr if arr.dtype.kind in "biu" else arr.astype(np.int64)
-        if arr.ndim != 1:
-            raise InvalidInputError("stream data must be one-dimensional")
-        if arr.size and (arr.min() < 0 or arr.max() >= alphabet.size):
-            raise InvalidInputError("symbol index outside alphabet range")
+        arr = check_array(data, "stream data", "biu", alphabet.size)
         if arr.dtype != np.uint8 or arr.flags.writeable or arr.base is not None:
             arr = arr.astype(np.uint8)
             arr.setflags(write=False)
@@ -266,10 +266,7 @@ class CountTable:
         check_size(length, "length (the table covers successors of words up to max_len)",
                    0, self.max_len)
         k = self.alphabet.size
-        codes = np.asarray(codes)
-        if codes.size and not (codes.ndim == 1 and codes.dtype.kind in "iu"
-                               and codes.min() >= 0 and codes.max() < k**length):
-            raise InvalidInputError(f"codes must be integers in [0, {k**length})")
+        codes = check_array(codes, "codes", "iu", k**length)
         first = codes.astype(np.int64) * k
         stored, counts = self.level(length + 1)
         lo = np.searchsorted(stored, first)
@@ -322,10 +319,9 @@ class CountTable:
         for length in range(len(root), depth + 1):
             keep = counts >= floor
             codes, counts = codes[keep], counts[keep]
-            if codes.size:
-                rows = view.successor_rows(codes, length)
-                keep = rows.sum(axis=1) >= floor
-                codes, counts, rows = codes[keep], counts[keep], rows[keep]
+            rows = view.successor_rows(codes, length)
+            keep = rows.sum(axis=1) >= floor
+            codes, counts, rows = codes[keep], counts[keep], rows[keep]
             if not codes.size:
                 return
             yield length, codes, counts, rows
@@ -459,7 +455,7 @@ def entropy(dist):
     One distribution gives a float; a stack of them gives one entropy per
     distribution.
     """
-    p = np.asarray(dist, dtype=float)
+    p = check_array(dist, "dist").astype(float, copy=False)
     if p.ndim <= 1:
         # summing the nonzero terms alone fixes the order of a single sum
         p = p[p > 0.0]

@@ -330,6 +330,11 @@ class TestBoundCurve:
             with pytest.raises(InvalidInputError, match="lengths"):
                 bound_curve(2, 0.95, 10, None, [100, bad])
 
+    @pytest.mark.parametrize("lengths", [["100", "1000"], "12"])
+    def test_strings_are_refused_not_parsed(self, lengths):
+        with pytest.raises(InvalidInputError, match="lengths must be an array of real numbers"):
+            bound_curve(2, 0.95, None, None, lengths)
+
 
 def reference_estimate(sync, cfg, table):
     """Exact-weight Phase II by brute force over every pool word.

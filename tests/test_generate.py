@@ -192,6 +192,11 @@ class TestNormalizeText:
     def test_trims_edges(self):
         assert labels_of(normalize_text("  padded  ")) == "padded"
 
+    @pytest.mark.parametrize("raw", [None, 12])
+    def test_refuses_anything_but_text(self, raw):
+        with pytest.raises(InvalidInputError, match="text must be str or bytes"):
+            normalize_text(raw)
+
     def test_bytes_and_str_agree(self):
         raw = "It was the best of times, it was the worst of times."
         a = normalize_text(raw)

@@ -15,6 +15,7 @@ from syncrate import (
     EstimatorConfig,
     InvalidInputError,
     SymbolStream,
+    bound_curve,
     build_count_table,
     candidate_length,
     entropy,
@@ -165,7 +166,7 @@ class TestSymbolStream:
 
     @pytest.mark.parametrize(
         "data",
-        [[True, False, True], np.array([True, False, True]), [1, 0, 1], [1.0, 0.0, 1.5]],
+        [[True, False, True], np.array([True, False, True]), [1, 0, 1]],
     )
     def test_bool_and_list_inputs_keep_their_symbols(self, data):
         assert SymbolStream(data, BINARY).data.tolist() == [1, 0, 1]
@@ -652,6 +653,7 @@ CAPPED_SIZE_ARGUMENTS = [
     ("search_length", lambda v: search_settings(stream_from("0101"), 0.1, 10, v), 61),
     ("count floor", lambda v: list(_table().walk((), v, 2)), 2**63 - 1),
     ("burn_in", lambda v: ChaoticMapConfig(r=1.5, n=10, burn_in=v), 10**8),
+    ("output length", lambda v: ChaoticMapConfig(r=1.5, n=v), 2**63 - 1),
 ]
 
 
@@ -665,6 +667,20 @@ def test_size_arguments_refuse_values_above_their_largest(name, call, largest):
         with pytest.raises(InvalidInputError, match=re.escape(f"{name} must be at most")) as info:
             call(bad)
         assert shown(bad) in str(info.value)
+
+
+# generated streams stop at the int64 maximum, like the count floor; a call
+# at the cap itself would ask NumPy for 8 EiB, so only values past it run
+@pytest.mark.parametrize("bad", [2**63, 10**400], ids=["2**63", "10**400"])
+@pytest.mark.parametrize(
+    "call",
+    [lambda v: simulate(two_state_synchronizable(), v, seed=0),
+     lambda v: iid_stream([0.5, 0.5], v)],
+    ids=["simulate", "iid_stream"],
+)
+def test_stream_lengths_stop_at_the_int64_maximum(call, bad):
+    with pytest.raises(InvalidInputError, match=f"stream length must be at most {2**63 - 1}"):
+        call(bad)
 
 
 # every public real-valued argument, as the name its error gives, a call
@@ -715,3 +731,30 @@ def test_real_arguments_refuse_non_numbers(call, bad, words):
     with pytest.raises(InvalidInputError) as info:
         call(bad)
     assert all(word in str(info.value) for word in words)
+
+
+# every public array argument, as the name its error gives, a call that
+# passes the array there, and whether it takes only integers
+ARRAY_ARGUMENTS = [
+    ("stream data", lambda v: SymbolStream(v, BINARY), True),
+    ("codes", lambda v: _table().successor_rows(v, 1), True),
+    ("dist", entropy, False),
+    ("lengths", lambda v: bound_curve(2, 0.95, None, None, v), False),
+]
+
+
+def _array_cases():
+    """(call, bad array, name its error must hold) for every argument."""
+    for i, (name, call, integral) in enumerate(ARRAY_ARGUMENTS):
+        bads = {"ragged": [[0], [1, 0]], "None": None, "object": [object()],
+                "10**30": [10**30], "strings": ["0", "1"], "bytes": b"\x00\x01"}
+        if integral:
+            bads["fraction"] = [1.5]
+        for label, bad in bads.items():
+            yield pytest.param(call, bad, name, id=f"{name}-{i}-{label}")
+
+
+@pytest.mark.parametrize("call, bad, name", _array_cases())
+def test_array_arguments_refuse_non_arrays(call, bad, name):
+    with pytest.raises(InvalidInputError, match=name):
+        call(bad)
