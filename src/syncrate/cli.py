@@ -23,7 +23,7 @@ from .estimator import (
     EstimatorConfig,
     bound_curve,
     estimate_entropy_rate,
-    search_settings,
+    locate_sync_word,
 )
 from .generate import (
     ChaoticMapConfig,
@@ -33,8 +33,7 @@ from .generate import (
 )
 from .lz78 import lz78_curve, lz78_entropy_estimate
 from .pfsa import load_pfsa, simulate
-from .streams import Alphabet, SymbolStream, build_count_table
-from .sync import collect_derivatives, find_sync_string
+from .streams import Alphabet, SymbolStream
 
 
 # the handler, file names and where output goes: the digest covers what the
@@ -214,16 +213,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_sync(args) -> int:
     stream = _load_stream(args)
-    length, min_count = search_settings(
-        stream,
-        args.epsilon,
-        EstimatorConfig.min_count,
-        args.search_length,
-        args.collect_min,
+    derivs, result, _table = locate_sync_word(
+        stream, args.epsilon, EstimatorConfig.min_count, args.search_length, args.collect_min
     )
-    table = build_count_table(stream, length)
-    derivs = collect_derivatives(table, length, min_count)
-    result = find_sync_string(derivs)
     word = _word_label(stream.alphabet, result.word, human=True)
     summary = [
         f"sync word      {word}",

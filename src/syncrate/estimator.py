@@ -181,8 +181,8 @@ def bound_curve(
         raise InvalidInputError(f"lengths must be finite numbers, got {lengths!r}") from None
     if not lengths or any(n < 1 for n in lengths):
         raise InvalidInputError("lengths must be positive")
-    if lengths != sorted(lengths):
-        raise InvalidInputError("lengths must be ascending")
+    if any(b <= a for a, b in zip(lengths, lengths[1:])):
+        raise InvalidInputError("lengths must be strictly ascending")
     rows = []
     for n in lengths:
         _eps, bound, _vac = solve_uncertainty(
@@ -260,24 +260,50 @@ def collect_threshold(stream_length: int, min_count: int) -> int:
     return max(min_count, math.ceil(stream_length ** (2.0 / 3.0)))
 
 
-def search_settings(
+def locate_sync_word(
     stream: SymbolStream,
     epsilon: float,
     min_count: int,
     search_length: int | None = None,
     collect_min_count: int | None = None,
-) -> tuple[int, int]:
-    """Phase I's search depth and count floor: the values given, else
-    ``candidate_length`` and ``collect_threshold``.  ``epsilon`` is read only
-    when no search length is given.
+    depth: int = 0,
+):
+    """Phase I from a stream: returns ``(derivs, sync, table)``, where
+    ``table`` covers x0 followed by words of up to ``depth`` symbols.
+
+    The search depth and count floor are the values given, else
+    ``candidate_length`` and ``collect_threshold``; ``epsilon`` is read only
+    when no search length is given.  The counts come in one of two shapes,
+    with the same report either way.  When the deepest words, of length
+    search + depth + 1, have at most as many possible codes as the stream
+    has positions, one table of that depth serves both phases.  When they
+    have more, most deep windows are distinct and Phase II reads only those
+    behind x0, so Phase I gets a table of depth search + 1 and, unless that
+    table already reaches len(x0) + depth, Phase II a table rooted at x0
+    (``build_count_table`` with ``root``).  Counting and both phases, on the
+    benchmark workloads (seeds 1-3, median of 5, 2 vCPUs): on 4.5e6 order-1
+    Markov symbols over 27, where x0 starts 7% of the windows, the split
+    took 0.09-0.11 s against 0.30-0.32 s for one table; on 1e7 quadratic-map
+    symbols with ext_max 5 (2^11 deep codes), one table took 0.040-0.042 s
+    against 0.069-0.075 s, and the chaos-curve bench job peaked at 93 MB
+    resident against 110 MB when it always split (seeds 11-13, one run
+    each).  The split tables are shallower than the single one, with fewer
+    possible codes, so a stream whose single table would exceed the int64
+    code range or ``streams.MAX_TABLE_ENTRIES`` can still get an estimate.
     """
-    if search_length is None:
-        search_length = candidate_length(epsilon, stream.alphabet.size)
+    k = stream.alphabet.size
+    search = candidate_length(epsilon, k) if search_length is None else search_length
     # no count table covers a deeper search; refused before it reaches an exponent
-    check_size(search_length, "search_length", 0, _CODE_BITS - 1)
+    check_size(search, "search_length", 0, _CODE_BITS - 1)
     if collect_min_count is None:
         collect_min_count = collect_threshold(len(stream), min_count)
-    return search_length, collect_min_count
+    split = k ** (search + depth + 1) > len(stream)
+    table = build_count_table(stream, search if split else search + depth)
+    derivs = collect_derivatives(table, search, collect_min_count)
+    sync = find_sync_string(derivs)
+    if table.max_len < len(sync.word) + depth:
+        table = build_count_table(stream, len(sync.word) + depth, root=sync.word)
+    return derivs, sync, table
 
 
 def estimate_entropy_rate(
@@ -293,32 +319,9 @@ def estimate_entropy_rate(
     on short words profit from an explicit small value: every candidate then
     has a large occurrence count, which stabilizes both the hull and the
     extension statistics.
-
-    The counts come in one of two shapes, with the same report either way.
-    When the deepest words, of length search + ext_max + 1, have at most as
-    many possible codes as the stream has positions, one table of that depth
-    serves both phases.  When they have more, most deep windows are distinct
-    and Phase II reads only those behind x0, so Phase I gets a table of depth
-    search + 1 and Phase II a table rooted at x0 (``build_count_table`` with
-    ``root``).  Counting and both phases, on the benchmark workloads (seeds
-    1-3, median of 5, 2 vCPUs): on 4.5e6 order-1 Markov symbols over 27,
-    where x0 starts 7% of the windows, the split took 0.09-0.11 s against
-    0.30-0.32 s for one table; on 1e7 quadratic-map symbols with ext_max 5
-    (2^11 deep codes), one table took 0.040-0.042 s against 0.069-0.075 s,
-    and the chaos-curve bench job peaked at 93 MB resident against 110 MB
-    when it always split (seeds 11-13, one run each).  The split tables are
-    shallower than the single one, with fewer possible codes, so a stream
-    whose single table would exceed the int64 code range or
-    ``streams.MAX_TABLE_ENTRIES`` can still get an estimate.
     """
-    k = stream.alphabet.size
-    search, floor = search_settings(
-        stream, cfg.epsilon, cfg.min_count, search_length, collect_min_count
+    ext_max = cfg.resolved_extension_length(stream.alphabet.size)
+    _derivs, sync, table = locate_sync_word(
+        stream, cfg.epsilon, cfg.min_count, search_length, collect_min_count, ext_max
     )
-    ext_max = cfg.resolved_extension_length(k)
-    split = k ** (search + ext_max + 1) > len(stream)
-    table = build_count_table(stream, search if split else search + ext_max)
-    sync = find_sync_string(collect_derivatives(table, search, floor))
-    if split:
-        table = build_count_table(stream, len(sync.word) + ext_max, root=sync.word)
     return estimate(stream, sync, cfg, table)

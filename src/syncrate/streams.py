@@ -459,5 +459,6 @@ def entropy(dist):
     if p.ndim <= 1:
         # summing the nonzero terms alone fixes the order of a single sum
         p = p[p > 0.0]
-    h = -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+    # 0.0 - x, not -x: a point mass's zero sum gives +0.0, not -0.0
+    h = 0.0 - (p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
     return float(h) if p.ndim == 1 else h

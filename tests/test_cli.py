@@ -29,10 +29,11 @@ from syncrate.pfsa import (
     analytical_entropy_rate,
     format_pfsa,
     simulate,
+    two_state_nonsynchronizable,
     two_state_synchronizable,
 )
 from syncrate.streams import SymbolStream, BINARY
-from test_estimator import markov27_machine
+from test_estimator import built_roots, markov27_machine  # noqa: F401 (fixture)
 from test_sync import solved  # noqa: F401 (fixture)
 
 
@@ -203,6 +204,32 @@ def test_sync_and_estimate_pick_the_same_word(source, flags, pick_inputs, capsys
         for row in (line.split("\t") for line in table.splitlines()[2:])
     }
     assert p0 == "%.12g" % (counts[x0] / n)
+
+
+@pytest.mark.parametrize("source", ["fixture", "markov27"])
+def test_sync_builds_one_table(source, pick_inputs, built_roots, capsys):
+    code, _, _ = run(["sync"] + pick_inputs[source], capsys)
+    assert code == 0
+    assert built_roots == [()]
+
+
+def test_sync_matches_a_raised_nmin_through_collect_min(workdir, capsys):
+    # sync has no --nmin, so its Phase I floor stays max(10, n^(2/3));
+    # --collect-min sets the floor that estimate --nmin raises
+    path = str(workdir / "nonsync.raw")
+    stream = simulate(two_state_nonsynchronizable(), 100_000, seed=1)
+    stream.data.astype(np.uint8).tofile(path)
+    code, out, _ = run(["estimate", "--tsv", "--input", path, "--nmin", "8000"], capsys)
+    assert code == 0
+    x0, p0 = out.splitlines()[2].split("\t")[4:6]
+    picked = [f"sync word      {x0}", f"frequency      {float(p0):.6f}"]
+    assert picked == ["sync word      00000", "frequency      0.371790"]
+    code, out, _ = run(["sync", "--input", path], capsys)
+    assert code == 0
+    assert out.splitlines()[0] != picked[0]
+    code, out, _ = run(["sync", "--input", path, "--collect-min", "8000"], capsys)
+    assert code == 0
+    assert out.splitlines() == picked
 
 
 def test_sync_solves_as_many_programs_as_estimate(pick_inputs, solved, capsys):

@@ -325,6 +325,8 @@ class TestBoundCurve:
         with pytest.raises(InvalidInputError):
             bound_curve(2, 0.95, 10, None, [100, 50])
         with pytest.raises(InvalidInputError):
+            bound_curve(2, 0.95, 10, None, [100, 100])
+        with pytest.raises(InvalidInputError):
             bound_curve(2, 0.95, 10, None, [0, 50])
         for bad in (None, math.inf, math.nan, "x"):
             with pytest.raises(InvalidInputError, match="lengths"):
@@ -371,6 +373,19 @@ def markov27_machine():
     rows = np.random.default_rng(0).dirichlet([0.3] * 27, size=27)
     delta = np.tile(np.arange(27), (27, 1))
     return Pfsa(Alphabet(tuple(str(i) for i in range(27))), delta, rows)
+
+
+@pytest.fixture
+def built_roots(monkeypatch):
+    """The root of every count table Phase I builds, in build order."""
+    roots = []
+
+    def spy(*args, root=(), **kwargs):
+        roots.append(tuple(root))
+        return build_count_table(*args, root=root, **kwargs)
+
+    monkeypatch.setattr("syncrate.estimator.build_count_table", spy)
+    return roots
 
 
 class TestEstimatePipeline:
@@ -502,6 +517,35 @@ class TestEstimatePipeline:
         )
         assert report == chain
         assert roots == ([(), chain.sync_word] if split else [()])
+
+    @pytest.mark.parametrize(
+        "machine,cfg,rooted",
+        [
+            (markov27_machine(), EstimatorConfig(
+                epsilon=0.05, sample_size=200_000, max_extension_length=8, min_count=10
+            ), True),
+            (two_state_nonsynchronizable(), EstimatorConfig(epsilon=0.05), False),
+        ],
+        ids=["markov27-bench", "binary-default"],
+    )
+    def test_table_builds_per_workload(self, built_roots, machine, cfg, rooted):
+        # a shallow table then one rooted at x0 where the deep codes outnumber
+        # the stream, one table where they do not; markov27 at 1e5 picks the
+        # empty x0, so its second table counts every window
+        report = estimate_entropy_rate(simulate(machine, 100_000, seed=1), cfg)
+        assert built_roots == ([(), report.sync_word] if rooted else [()])
+
+    def test_shallow_table_covering_x0_is_not_rebuilt(self, built_roots):
+        # 2**(3 + 1 + 1) deep codes outnumber 30 symbols, so Phase I reads a
+        # depth-3 table; x0 = 01 and its one-symbol extensions fit in it
+        stream = simulate(two_state_nonsynchronizable(), 30, seed=0)
+        cfg = EstimatorConfig(epsilon=0.05, max_extension_length=1, min_count=1)
+        report = estimate_entropy_rate(stream, cfg, collect_min_count=2, search_length=3)
+        assert report.sync_word == (0, 1)
+        assert built_roots == [()]
+        table = build_count_table(stream, 3 + 1)
+        sync = find_sync_string(collect_derivatives(table, 3, 2))
+        assert report == estimate(stream, sync, cfg, table)
 
     def test_seed_does_not_change_report(self):
         stream = simulate(two_state_nonsynchronizable(), 20_000, seed=2)

@@ -28,7 +28,7 @@ from syncrate import (
     transformation_matrix,
     two_state_synchronizable,
 )
-from syncrate.estimator import search_settings
+from syncrate.estimator import locate_sync_word
 from syncrate.pfsa import evolve, symbol_distribution
 
 
@@ -529,6 +529,10 @@ class TestEntropy:
         assert entropy([1.0, 0.0]) == 0.0
         assert entropy([0.0, 1.0, 0.0]) == 0.0
 
+    def test_point_mass_gives_positive_zero(self):
+        assert math.copysign(1.0, entropy([1.0, 0.0])) == 1.0
+        assert math.copysign(1.0, entropy([[1.0, 0.0]])[0]) == 1.0
+
     def test_uniform_is_log_k(self):
         assert entropy([0.25] * 4) == pytest.approx(2.0)
 
@@ -650,7 +654,8 @@ CAPPED_SIZE_ARGUMENTS = [
     ("max_len (longer words overflow the int64 code range)",
      lambda v: build_count_table(stream_from("0101"), v), 61),
     ("max_extension_length", lambda v: EstimatorConfig(epsilon=0.1, max_extension_length=v), 61),
-    ("search_length", lambda v: search_settings(stream_from("0101"), 0.1, 10, v), 61),
+    ("search_length",
+     lambda v: locate_sync_word(stream_from("0101"), 0.1, 10, v, collect_min_count=1), 61),
     ("count floor", lambda v: list(_table().walk((), v, 2)), 2**63 - 1),
     ("burn_in", lambda v: ChaoticMapConfig(r=1.5, n=10, burn_in=v), 10**8),
     ("output length", lambda v: ChaoticMapConfig(r=1.5, n=v), 2**63 - 1),
