@@ -1,4 +1,4 @@
-"""scipy stays off every path that solves no hull linear program.
+"""No path of the package imports scipy, the hull vertex test included.
 
 The check runs in a fresh interpreter, because other test modules import
 scipy themselves and would fill this process's ``sys.modules``.
@@ -14,27 +14,36 @@ import syncrate
 CHILD = """
 import json
 import sys
+import tempfile
 
+import syncrate.sync
 from syncrate import (
     EstimatorConfig, cli, estimate_entropy_rate, iid_stream, lz78_curve, simulate,
     two_state_nonsynchronizable,
 )
 
-def scipy_loaded():
-    return sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.optimize")))
+solved = []
+is_vertex = syncrate.sync._is_vertex
+syncrate.sync._is_vertex = lambda points, index: solved.append(index) or is_vertex(points, index)
 
 stream = simulate(two_state_nonsynchronizable(), 100_000, seed=0)
 estimate_entropy_rate(stream, EstimatorConfig(epsilon=0.05))
 lz78_curve(stream, [10_000, 100_000])
-status = cli.main(["bounds", "--alphabet-size", "2", "--lengths", "1e6"])
-binary = scipy_loaded()
+status = [cli.main(["bounds", "--alphabet-size", "2", "--lengths", "1e6"])]
 
-# three symbols with more than one distinct derivative: the hull test solves
-# linear programs, so the import must still happen on demand
+# three symbols with more than one distinct derivative: the hull test runs
+# its least-squares solves, in the library and through `syncrate sync`
 three = iid_stream([0.5, 0.3, 0.2], 20_000, seed=0)
 report = estimate_entropy_rate(three, EstimatorConfig(epsilon=0.1, min_count=50))
-print(json.dumps({"status": status, "binary": binary, "after_lp": scipy_loaded(),
-                  "h": report.entropy_rate}))
+solved_by = [len(solved)]
+with tempfile.TemporaryDirectory() as tmp:
+    path = tmp + "/three.bin"
+    with open(path, "wb") as f:
+        f.write(three.data.tobytes())
+    status.append(cli.main(["sync", "--input", path, "--epsilon", "0.1", "--collect-min", "50"]))
+solved_by.append(len(solved) - solved_by[0])
+print(json.dumps({"status": status, "solved": solved_by, "h": report.entropy_rate,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
@@ -51,9 +60,10 @@ def run_child():
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_binary_paths_load_no_sparse_or_optimize_module():
+def test_no_path_loads_scipy():
     out = run_child()
-    assert out["status"] == 0
-    assert out["binary"] == []
-    assert "scipy.optimize" in out["after_lp"]
+    assert out["status"] == [0, 0]
+    # the estimate and `sync` each ran the hull test's solves
+    assert min(out["solved"]) > 0
+    assert out["scipy"] == []
     assert 0.0 < out["h"] <= 1.6

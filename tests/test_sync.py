@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import syncrate.sync
 from syncrate import (
     BINARY,
     Alphabet,
+    EstimationError,
     EstimatorConfig,
     InsufficientDataError,
     InvalidInputError,
@@ -23,6 +24,7 @@ from syncrate.sync import (
     MAX_HULL_POINTS,
     MAX_HULL_PRODUCT,
     DerivativeMap,
+    _is_vertex,
     candidate_length,
     collect_derivatives,
     find_sync_string,
@@ -259,7 +261,7 @@ class TestHullVertexWords:
         assert set(hull_vertex_words(derivs)) == {(0,), (1,), (2,)}
 
     def test_point_cap_refuses_before_solving(self):
-        # distinct points on one line of the simplex; no linear program runs
+        # distinct points on one line of the simplex; nothing is solved
         items = []
         for i in range(MAX_HULL_POINTS + 1):
             word = tuple(int(c) for c in np.base_repr(i, 3).zfill(6))
@@ -270,7 +272,7 @@ class TestHullVertexWords:
 
     def test_point_times_symbol_cap_refuses_before_solving(self):
         # 40 distinct points are far below the point cap, but over 256
-        # symbols each linear program is wide; none runs
+        # symbols each solve is wide; none runs
         bytes256 = Alphabet(tuple(str(i) for i in range(256)))
         points = 40
         assert points <= MAX_HULL_POINTS and points * 256 > MAX_HULL_PRODUCT
@@ -392,7 +394,7 @@ CLOUDS = {
 
 @pytest.fixture
 def solved(monkeypatch):
-    """Indices of the linear programs the vertex test solves, in order."""
+    """Indices of the points the vertex test solves for, in order."""
     indices = []
     inner = syncrate.sync._is_vertex
 
@@ -412,9 +414,13 @@ def pick(select):
     return r.word, r.derivative.tobytes(), r.count, r.frequency
 
 
-def distinct_points(derivs):
+def rounded_points(derivs):
     points = np.array([d for d, _ in derivs.entries.values()])
-    return len(np.unique(np.round(points, 9), axis=0))
+    return np.unique(np.round(points, 9), axis=0)
+
+
+def distinct_points(derivs):
+    return len(rounded_points(derivs))
 
 
 class TestEarlyStop:
@@ -456,3 +462,91 @@ class TestEarlyStop:
         derivs = collect_derivatives(table, 1, collect_threshold(len(stream), 10))
         hull_vertex_words(derivs)
         assert len(solved) == distinct_points(derivs) == 28
+
+
+def linprog_vertex(points, index):
+    # the reference verdict: HiGHS finds no convex mix of the others that
+    # reproduces the point
+    from scipy.optimize import linprog
+
+    others = np.delete(points, index, axis=0)
+    res = linprog(
+        np.zeros(len(others)),
+        A_eq=np.vstack([others.T, np.ones(len(others))]),
+        b_eq=np.append(points[index], 1.0),
+        bounds=(0.0, 1.0),
+        method="highs",
+    )
+    return not res.success
+
+
+def cloud(seed, k, size):
+    # distinct 9-decimal points of the simplex, as the hull test sees them
+    points = np.random.default_rng(seed).dirichlet([0.5] * k, size)
+    return np.unique(np.round(points, 9), axis=0)
+
+
+class TestIsVertex:
+    @pytest.mark.parametrize(
+        "name", [name for name in CLOUDS if not name.endswith("over-point-cap")]
+    )
+    def test_matches_linear_program(self, name):
+        make, length, floor = CLOUDS[name]
+        derivs = collect_derivatives(build_count_table(make(), length), length, floor)
+        points = rounded_points(derivs)
+        if len(points) == 1:  # a lone point is a vertex, and nothing is solved
+            assert hull_vertex_words(derivs) == list(derivs.entries)
+            return
+        verdicts = [_is_vertex(points, g) for g in range(len(points))]
+        assert verdicts == [linprog_vertex(points, g) for g in range(len(points))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(3, 27),
+        size=st.integers(2, 59),
+    )
+    def test_mixture_of_others_is_never_a_vertex(self, seed, k, size):
+        rng = np.random.default_rng(seed)
+        points = cloud(seed, k, size)
+        # every weight at least 0.01, so the mix sits inside the others' hull
+        weights = 0.01 + (1 - 0.01 * len(points)) * rng.dirichlet([1.0] * len(points))
+        mix = np.round(weights @ points, 9)
+        index = int(rng.integers(len(points) + 1))
+        assert not _is_vertex(np.insert(points, index, mix, axis=0), index)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(3, 27),
+        size=st.integers(2, 60),
+    )
+    def test_unique_maximiser_of_a_functional_is_a_vertex(self, seed, k, size):
+        points = cloud(seed, k, size)
+        values = points @ np.random.default_rng(seed + 1).uniform(-1, 1, k)
+        top, second = np.sort(values)[-2:][::-1]
+        assume(top - second >= 1e-4)
+        assert _is_vertex(points, int(np.argmax(values)))
+
+    def test_rounding_noise_gain_does_not_stall(self):
+        # nearly collinear points by an edge of the simplex; the first point
+        # lies 2.5e-7 off the others' cone.  The column of largest gain comes
+        # back with a weight of zero or less, so its gain is rounding noise:
+        # skipping it ends the solve, where trying it again would spin until
+        # the iteration bound
+        points = np.array([
+            [2.3e-08, 0.591241818, 0.408758159],
+            [0.0, 1e-09, 0.999999999],
+            [1e-09, 3.8941e-05, 0.999961058],
+            [2.49e-07, 0.616400158, 0.383599594],
+        ])
+        assert _is_vertex(points, 0) and linprog_vertex(points, 0)
+
+    def test_iteration_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(syncrate.sync, "_NNLS_ITERATIONS", 0)
+        points = np.eye(3)
+        with pytest.raises(EstimationError, match="did not converge"):
+            _is_vertex(points, 0)
+        derivs = make_map(ABC, 100, [((i,), p, 5) for i, p in enumerate(points)])
+        with pytest.raises(EstimationError, match="did not converge"):
+            find_sync_string(derivs)
