@@ -283,13 +283,13 @@ def locate_sync_word(
     (``build_count_table`` with ``root``).  Counting and both phases, on the
     benchmark workloads (seeds 1-3, median of 5, 2 vCPUs): on 4.5e6 order-1
     Markov symbols over 27, where x0 starts 7% of the windows, the split
-    took 0.09-0.11 s against 0.30-0.32 s for one table; on 1e7 quadratic-map
-    symbols with ext_max 5 (2^11 deep codes), one table took 0.040-0.042 s
-    against 0.069-0.075 s, and the chaos-curve bench job peaked at 93 MB
-    resident against 110 MB when it always split (seeds 11-13, one run
-    each).  The split tables are shallower than the single one, with fewer
-    possible codes, so a stream whose single table would exceed the int64
-    code range or ``streams.MAX_TABLE_ENTRIES`` can still get an estimate.
+    took 0.066-0.072 s against 0.25-0.28 s for one table; on 1e7
+    quadratic-map symbols with ext_max 5 (2^11 deep codes), one table took
+    0.030-0.039 s against 0.057-0.059 s, and the chaos-curve bench job
+    peaked at 88 MB resident either way (seeds 11-13, one run each).  The
+    split tables are shallower than the single one, with fewer possible
+    codes, so a stream whose single table would exceed the int64 code range
+    or ``streams.MAX_TABLE_ENTRIES`` can still get an estimate.
     """
     k = stream.alphabet.size
     search = candidate_length(epsilon, k) if search_length is None else search_length

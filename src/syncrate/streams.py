@@ -5,16 +5,17 @@ counts are overlapping: "00" occurs twice in "0001".  The empty word occurs
 once per position, so its count equals the stream length.
 
 A stream holds one byte per symbol.  ``build_count_table`` counts every word
-up to a length with one sort of window codes encoded from the stream in the
-narrowest of 2, 4 or 8 bytes that fits, and keeps only the deepest windows
-as sorted distinct int64 codes with counts, 16 bytes per distinct window.
-Codes put the first symbol in the most significant digit.  Shorter words are
-prefixes of those codes, and the words that begin with a given word fill one
-contiguous slice of them, so a shorter level is derived on each read and a
-per-word view shares the slice.  Memory is the deepest level plus the one
-level being read.  Given a root word, the build counts only the windows that
-begin with it, so a root seen at a few percent of the positions sorts a few
-percent of the windows.
+up to a length from the windows of that length, and keeps only them as
+sorted distinct int64 codes with the cumulative sum of their counts, 16
+bytes per distinct window.  Window codes below 2**16 are built 2**16 windows at a
+time in reused uint16 buffers and counted into one total over every possible
+code; wider codes are built in 4 or 8 bytes per window and sorted.  Codes
+put the first symbol in the most significant digit, so the deepest codes
+that begin with a given word fill one contiguous range: a shorter word's
+count is a difference of the cumulative sum at the two ends of its range,
+and a per-word view shares the range.  Given a root word, the build counts
+only the windows that begin with it, found one block at a time, so a root
+seen at a few percent of the positions adds a few percent of the windows.
 """
 
 from __future__ import annotations
@@ -26,15 +27,16 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-# Words are packed into codes, digit i weighted by k**(L-1-i).  The build
-# encodes and sorts windows in the narrowest of these dtypes that holds
-# k**top - 1; the table stores int64.  Wide codes are int64, the table's
-# dtype, not uint64, so k**L must stay inside the int64 range.  uint8 is
-# left out: numpy 2.4 sorts it 10-35x slower than uint16 (1e6 values 0.050
-# against 0.0013 s, 1e7 values 0.54 against 0.014 s), which made a binary
-# depth-6 table take 0.044 s per 1e6 symbols against 0.0045 s.
+# Words are packed into codes, digit i weighted by k**(L-1-i).  A build
+# whose codes fit 16 bits builds and counts them ``_COUNT_BLOCK`` windows at
+# a time in uint16 and never sorts them; wider codes are built and sorted in
+# the narrower of these dtypes that holds k**top - 1, and the table stores
+# int64.  Wide codes are int64, the table's dtype, not uint64, so k**L must
+# stay inside the int64 range.
 _CODE_BITS = 62
-_WINDOW_DTYPES = (np.uint16, np.uint32, np.int64)
+_WINDOW_DTYPES = (np.uint32, np.int64)
+# codes below 2**16 are counted this many windows at a time
+_COUNT_BLOCK = 1 << 16
 
 # Stream sources draw their uniforms this many at a time, so generating a
 # stream holds 0.5 MB of them rather than 8 bytes per symbol.  Split draws
@@ -213,17 +215,23 @@ class CountTable:
     """Occurrence counts for every word of length <= max_len + 1 in a stream.
 
     Only the deepest level is stored: the sorted distinct int64 codes of the
-    windows of length top = min(max_len + 1, n), with their counts, and the
-    top - 1 windows that the stream end cuts short of that length, as codes
-    with their lengths.  Any absent word has count zero.  A shorter level L
-    is derived on each read, in one pass: every deepest code is divided down
-    to its length-L prefix, the cut windows that reach L are truncated to it
-    and inserted with count 1, and each run of equal prefixes sums to one
-    entry.  Level 0 holds the empty word, counted once per position.
+    windows of length top = min(max_len + 1, n) with the cumulative sum of
+    their counts, and the top - 1 windows that the stream end cuts short of
+    that length, as codes with their lengths.  Any absent
+    word has count zero.  The deepest codes that begin with a word fill one
+    contiguous range, so ``count``, ``successor_rows`` and ``walk`` read a
+    word's count as the difference of the cumulative sum at the range's two
+    ends, found by search, plus the cut windows that reach the word's length.
+    ``level`` derives a whole shorter level L in one pass: every deepest code
+    is divided down to its length-L prefix, the cut windows that reach L are
+    truncated to it and inserted with count 1, and each run of equal
+    prefixes sums to one entry.  Level 0 holds the empty word, counted once
+    per position.
 
-    Memory: 16 bytes per distinct deepest window, plus the one level being
-    read; ``walk`` reads each level once, so none is kept.  ``rooted``
-    restricts the table to the words that begin with one word.  Read only.
+    Memory: 16 bytes per distinct deepest window; reads by range allocate in
+    proportion to the words read, ``level`` in proportion to the deepest
+    level.  ``rooted`` restricts the table to the words that begin with one
+    word.  Read only.
     """
 
     __slots__ = (
@@ -237,6 +245,8 @@ class CountTable:
         self._root_len = root_len
         self._top = min(max_len + 1, stream_length)
         self._cut = cut
+        # codes and, one longer, the count of the deepest windows below each
+        # code and then of all of them: count i is cum[i + 1] - cum[i]
         self._deepest = deepest
 
     def encode(self, word) -> int:
@@ -252,7 +262,9 @@ class CountTable:
 
     def count(self, word) -> int:
         """Occurrences of ``word``; zero for a word shorter than the table's root."""
-        return int(self.rooted(word).level(len(word))[1].sum())
+        check_size(len(word), "word length (the table covers words up to max_len + 1)",
+                   0, self.max_len + 1)
+        return int(self._range_counts(np.array([self.encode(word)]), len(word), 1)[0, 0])
 
     def successor_rows(self, codes, length) -> np.ndarray:
         """Successor counts of words of one length <= max_len, given by code.
@@ -260,29 +272,42 @@ class CountTable:
         Row i of the (len(codes), k) result holds the count of word_i + sigma
         for each symbol sigma; an empty code array gives zero rows, and one
         that is not a vector of integers in [0, k**length) is refused.  The
-        successors of the word with code c fill the range [c*k, c*k + k) of
-        level length + 1, found by two searches per word.
+        successors of the word with code c have the codes c*k .. c*k + k - 1
+        of length + 1, read as k ranges of the deepest codes.
         """
         check_size(length, "length (the table covers successors of words up to max_len)",
                    0, self.max_len)
         k = self.alphabet.size
         codes = check_array(codes, "codes", "iu", k**length)
-        first = codes.astype(np.int64) * k
-        stored, counts = self.level(length + 1)
-        lo = np.searchsorted(stored, first)
-        found = np.searchsorted(stored, first + k) - lo
-        word = np.repeat(np.arange(first.size), found)
-        # entry j of the concatenated ranges sits at lo + j - (start of its range)
-        at = np.arange(word.size) + (lo - np.cumsum(found) + found)[word]
-        rows = np.zeros((first.size, k), dtype=np.int64)
-        rows[word, stored[at] - first[word]] = counts[at]
+        return self._range_counts(codes.astype(np.int64) * k, length + 1, k)
+
+    def _range_counts(self, first, length: int, width: int) -> np.ndarray:
+        """(len(first), width) counts of the words of one length whose codes
+        run from first[i] to first[i] + width - 1.  The deepest codes that
+        begin with code c fill [c * s, (c + 1) * s), s = k**(top - length),
+        so the width + 1 bounds of each row, found by one search, cut the
+        cumulative counts into the row's counts; the cut windows that reach
+        the length add one each."""
+        if not self._root_len <= length <= self._top:
+            return np.zeros((first.size, width), dtype=np.int64)
+        k = self.alphabet.size
+        bounds = (first[:, None] + np.arange(width + 1)) * k ** (self._top - length)
+        codes, cum = self._deepest
+        rows = np.diff(cum[np.searchsorted(codes, bounds)], axis=1)
+        cut_codes, cut_lens = self._cut
+        reach = cut_lens >= length
+        if reach.any():
+            at = cut_codes[reach] // k ** (cut_lens[reach] - length) - first[:, None]
+            word, cut = np.nonzero((at >= 0) & (at < width))
+            np.add.at(rows, (word, at[word, cut]), 1)
         return rows
 
     def level(self, length: int):
         """(codes, counts) arrays of all stored words of one length."""
         check_size(length, "length (the table covers words up to max_len + 1)",
                    0, self.max_len + 1)
-        codes, counts = self._deepest
+        codes, cum = self._deepest
+        counts = np.diff(cum)
         if length == self._top:
             return codes, counts
         if not self._root_len <= length < self._top:
@@ -308,14 +333,15 @@ class CountTable:
         serves both phases; an occurrence that ends the stream has no
         successor.  Counts pre-filter, as no word has more successors than
         occurrences.  The next length's words are the row entries, so each
-        level is read once; no word outnumbers its prefix, so none is missed.
+        count is read once; no word outnumbers its prefix, so none is missed.
         The root's count is ``count(root)``, zero below the table's root."""
         check_size(depth, "depth (the table covers words up to max_len)", 0, self.max_len)
         check_size(floor, "count floor", 0, np.iinfo(np.int64).max)  # counts are int64
         floor = max(floor, 1)
         view = self.rooted(root)
         k = self.alphabet.size
-        codes, counts = view.level(len(root))
+        codes = np.array([self.encode(root)], dtype=np.int64)
+        counts = np.array([view.count(root)], dtype=np.int64)
         for length in range(len(root), depth + 1):
             keep = counts >= floor
             codes, counts = codes[keep], counts[keep]
@@ -332,14 +358,14 @@ class CountTable:
 
         Those words keep their counts; every other word counts zero.  They
         fill one contiguous slice of the sorted deepest codes, so the view
-        shares the table's arrays and derives its own levels from the slice.
+        shares that slice of the table's arrays and reads only from it.
         """
         r = len(word)
         check_size(r, "word length (the table covers words up to max_len + 1)",
                    0, self.max_len + 1)
         base = self.encode(word)
         k = self.alphabet.size
-        codes, counts = self._deepest
+        codes, cum = self._deepest
         cut_codes, cut_lens = self._cut
         lo = hi = 0
         reach = cut_lens >= r
@@ -352,30 +378,93 @@ class CountTable:
             self.alphabet,
             self.stream_length,
             self.max_len,
-            (codes[lo:hi], counts[lo:hi]),
+            (codes[lo:hi], cum[lo : hi + 1]),
             (cut_codes[reach], cut_lens[reach]),
             max(self._root_len, r),
         )
 
 
-def _distinct_windows(columns, size: int, k: int, width: int):
-    """Sorted distinct int64 codes of ``size`` windows of ``width`` symbols,
-    with their counts.  ``columns`` yields symbol i of every window for i in
-    0..width-1; the codes are built in the narrowest window dtype that holds
-    k**width - 1 and sorted in place."""
-    dtype = next(t for t in _WINDOW_DTYPES if k**width - 1 <= np.iinfo(t).max)
-    codes = np.zeros(size, dtype=dtype)
-    for i, column in enumerate(columns):
-        if i:
+def _root_hits(data, root, start: int, size: int) -> np.ndarray:
+    """Offsets below ``size`` from ``start`` at which ``data`` holds ``root``."""
+    hit = data[start : start + size] == root[0]
+    for i in range(1, len(root)):
+        hit &= data[start + i : start + i + size] == root[i]
+    return np.flatnonzero(hit)
+
+
+def _block_codes(data, start: int, size: int, width: int, k: int, bufs) -> np.ndarray:
+    """uint16 codes of the ``size`` windows of ``width`` symbols of ``data``
+    from ``start``, built in the two reused rows of ``bufs``.  The code of w
+    symbols at j, times k**w, plus the code of the w symbols at j + w is the
+    code of 2w symbols at j.  Doubling w, and adding one symbol for each set
+    bit of ``width``, takes about 2 log2(width) passes over the block where
+    adding one symbol at a time takes 2 width."""
+    cur, nxt = bufs
+    if not width:
+        cur[:size] = 0
+        return cur[:size]
+    n = size + width - 1  # cur holds the n codes of w symbols the block needs
+    cur[:n] = data[start : start + n]
+    w = 1
+    for bit in bin(width)[3:]:
+        n -= w
+        np.multiply(cur[:n], k**w, out=nxt[:n])
+        nxt[:n] += cur[w : w + n]
+        cur, nxt = nxt, cur
+        w *= 2
+        if bit == "1":
+            n -= 1
+            cur[:n] *= k
+            cur[:n] += data[start + w : start + w + n]
+            w += 1
+    return cur[:size]
+
+
+def _counted_windows(data, root, windows: int, k: int, top: int):
+    """Sorted distinct int64 codes of the symbols behind ``root`` in the
+    windows of ``top`` symbols that begin with it, among the first
+    ``windows`` positions, with the cumulative sum of their counts, for at
+    most 2**16 codes.  The codes of each 2**16 positions are built in uint16
+    and the root's are counted into one total over every possible code."""
+    r = len(root)
+    total = np.zeros(k ** (top - r), dtype=np.int64)
+    bufs = np.empty((2, _COUNT_BLOCK + top), dtype=np.uint16)
+    for start in range(0, windows, _COUNT_BLOCK):
+        size = min(_COUNT_BLOCK, windows - start)
+        codes = _block_codes(data, start + r, size, top - r, k, bufs)
+        if root:
+            codes = codes[_root_hits(data, root, start, size)]
+        total += np.bincount(codes, minlength=total.size)
+    codes = np.flatnonzero(total).astype(np.int64, copy=False)
+    return codes, np.concatenate(([0], np.cumsum(total[codes])))
+
+
+def _sorted_windows(data, root, windows: int, k: int, top: int):
+    """``_counted_windows`` for more than 2**16 codes: one code per window
+    that begins with ``root`` is built a symbol at a time in the narrower
+    window dtype that holds k**(top - len(root)) - 1, sorted in place, and
+    each run of equal codes is one entry."""
+    r = len(root)
+    index = slice(0, windows)
+    if root:
+        index = np.concatenate([
+            _root_hits(data, root, start, min(_COUNT_BLOCK, windows - start)) + start
+            for start in range(0, windows, _COUNT_BLOCK)
+        ])
+    dtype = next(t for t in _WINDOW_DTYPES if k ** (top - r) - 1 <= np.iinfo(t).max)
+    codes = np.zeros(windows if r == 0 else index.size, dtype=dtype)
+    for i in range(r, top):
+        if i > r:
             codes *= k
-        codes += column
+        codes += data[i:][index]
+    del index  # the positions go before the sort's arrays come
     codes.sort()
     starts = _run_starts(codes)
-    # free the window codes before the diff allocates its temporaries
     uniq = codes[starts].astype(np.int64, copy=False)
+    size = codes.size
     del codes
-    counts = np.diff(starts, append=size).astype(np.int64, copy=False)
-    return uniq, counts
+    # a run starts after as many windows as the runs before it hold
+    return uniq, np.append(starts, size)
 
 
 def _cut_windows(data, k: int, top: int):
@@ -388,25 +477,30 @@ def _cut_windows(data, k: int, top: int):
 def build_count_table(s: SymbolStream, max_len: int, root=()) -> CountTable:
     """Count table covering every word length up to max_len + 1.
 
-    Matches the naive overlapping scan exactly.  One encode and one sort do
-    the work: the codes of the windows of the deepest length
-    top = min(max_len + 1, n) are built in place, sorted in place and
-    counted, and the final window's top - 1 proper suffixes are kept as the
-    windows the stream end cuts short.  Only that level is stored; shorter
-    ones are derived when read (see ``CountTable``).  The build holds one
-    2-, 4- or 8-byte code per window, the narrowest that holds k**top - 1,
-    encoded from the one-byte stream without a cast copy of it, then at most
-    32 bytes per distinct deepest window while counting; the table keeps 16
-    bytes per distinct deepest window.
+    Matches the naive overlapping scan exactly.  The windows of the deepest
+    length top = min(max_len + 1, n) are counted, and the final window's
+    top - 1 proper suffixes are kept as the windows the stream end cuts
+    short.  Only that level is stored; shorter ones are read from it (see
+    ``CountTable``).  When k**top is at most 2**16, the codes of 2**16
+    windows at a time are built in two reused uint16 buffers, by doubling
+    the code length (``_block_codes``), and counted with ``np.bincount`` into
+    a total of k**top int64 counts, whose nonzero entries are the sorted
+    distinct codes; no code per window is kept and nothing is sorted.  Wider
+    codes take one 4- or 8-byte code per window, the narrower that holds
+    k**top - 1, built one symbol at a time from the one-byte stream and
+    sorted in place, then at most 24 bytes per distinct deepest window while
+    counting.  The table keeps 16 bytes per distinct deepest window: its
+    code and the count of the windows before it.
 
     A non-empty ``root`` word gives ``build_count_table(s, max_len).rooted(root)``
-    without counting the other windows.  A mask of one byte per symbol marks
-    the whole windows that begin with the root; they are gathered by their
-    8-byte positions, one code per occurrence over the top - len(root)
-    symbols behind the root, and sorted and counted as above.  The cost
-    follows the root's occurrences, not the stream.  Every build ends in
-    ``rooted(root)``, which keeps the cut windows that begin with the root
-    and refuses a root longer than max_len + 1 or outside the alphabet.
+    without counting the other windows.  Each block of 2**16 positions is
+    compared with the root's symbols to find where it begins.  Codes of the
+    top - len(root) symbols behind the root that fit 16 bits are built for
+    the whole block and only the root's are counted; wider ones are built
+    for the root's windows alone, gathered by their 8-byte positions, and
+    sorted as above.  Every build ends in ``rooted(root)``, which keeps the
+    cut windows that begin with the root and refuses a root longer than
+    max_len + 1 or outside the alphabet.
 
     Refuses with InvalidInputError a table that may store more than
     ``MAX_TABLE_ENTRIES`` entries, min(n, k**(top - len(root))): at most one
@@ -425,26 +519,19 @@ def build_count_table(s: SymbolStream, max_len: int, root=()) -> CountTable:
             "reduce max_len or count behind a longer root"
         )
     empty = np.empty(0, dtype=np.int64)
-    deepest = cut = (empty, empty)
+    cut = (empty, empty)
+    deepest = (empty, np.zeros(1, dtype=np.int64))
     if top == 0 and r == 0:
-        deepest = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+        deepest = (np.zeros(1, dtype=np.int64), np.zeros(2, dtype=np.int64))
     elif r <= top:
         data = s.data
         windows = n - top + 1
         cut = _cut_windows(data, k, top)
-        if r == 0:
-            columns = (data[i : i + windows] for i in range(top))
-            deepest = _distinct_windows(columns, windows, k, top)
-        else:
-            base = _encode(root, k)
-            hit = data[:windows] == root[0]
-            for i in range(1, r):
-                hit &= data[i : i + windows] == root[i]
-            pos = np.flatnonzero(hit)
-            columns = (data[i:].take(pos) for i in range(r, top))
-            codes, counts = _distinct_windows(columns, pos.size, k, top - r)
-            codes += base * k ** (top - r)
-            deepest = (codes, counts)
+        base = _encode(root, k)
+        count = _counted_windows if k ** (top - r) <= 1 << 16 else _sorted_windows
+        codes, cum = count(data, root, windows, k, top)
+        codes += base * k ** (top - r)
+        deepest = (codes, cum)
     # a root longer than the stream leaves nothing to count
     return CountTable(s.alphabet, n, max_len, deepest, cut).rooted(root)
 

@@ -69,11 +69,23 @@ def per_level_unique(data, k, max_len):
 # there are deepest codes, so each derived level folds long prefix runs
 LONG_BINARY = np.random.default_rng(0).integers(0, 2, size=400).tolist()
 
-# the largest code k**top - 1 on each side of the 8-, 16- and 32-bit window
-# widths: k = 2 at top 8, 9, 16, 17, 32, 33 and k = 256 at top 1, 2, 4, 5,
-# each stream holding that largest code
-DTYPE_EDGES = [(2, [1] * top + [0, 1], top - 1) for top in (8, 9, 16, 17, 32, 33)] + [
-    (256, [255] * top + [0, 1], top - 1) for top in (1, 2, 4, 5)
+# the largest code k**top - 1 on each side of 2**8, 2**16 and 2**32 codes
+# (up to 2**16 codes are counted by blocks, up to 2**32 sorted as uint32,
+# more as int64): k = 2 at top 8, 9, 16, 17, 32, 33, k = 27 at top 3 and 4
+# (19,683 and 531,441 codes) and k = 256 at top 1, 2, 4, 5, each stream
+# holding that largest code and ending in windows the end cuts short
+DTYPE_EDGES = [
+    (k, [k - 1] * top + [0, 1], top - 1)
+    for k, tops in ((2, (8, 9, 16, 17, 32, 33)), (27, (3, 4)), (256, (1, 2, 4, 5)))
+    for top in tops
+]
+
+# each edge with the empty root, a root seen often and one seen only at the
+# stream's end
+ROOTED_EDGES = [
+    (k, seq, max_len, root)
+    for k, seq, max_len in DTYPE_EDGES
+    for root in ((), (k - 1,), tuple(seq[-min(2, max_len + 1) :]))
 ]
 
 
@@ -302,6 +314,61 @@ class TestCountTable:
             t.successor_rows([0], max_len + 1)
 
     @pytest.mark.parametrize(
+        "k, max_len",
+        [(2, 15), (2, 16), (27, 2), (27, 3), (256, 1)],
+        ids=["2-symbols-2**16-codes", "2-symbols-2**17-codes", "27-symbols-19683-codes",
+             "27-symbols-531441-codes", "256-symbols-2**16-codes"],
+    )
+    def test_long_streams_match_reference(self, k, max_len):
+        # two blocks of 2**16 windows and part of a third, with deepest codes
+        # that fit 16 bits (counted by blocks) or not (sorted)
+        n = 2 * 2**16 + 1000
+        data = np.random.default_rng(k + max_len).integers(0, k, size=n)
+        s = SymbolStream(data, Alphabet(tuple(str(i) for i in range(k))))
+        t = build_count_table(s, max_len)
+        levels = per_level_unique(s.data, k, max_len)
+
+        def reference(codes, length):
+            # counts of the words of one length with these codes, zero if absent
+            want_codes, want_counts = levels[length]
+            at = np.minimum(np.searchsorted(want_codes, codes), want_codes.size - 1)
+            return np.where(want_codes[at] == codes, want_counts[at], 0)
+
+        for length in range(max_len + 2):
+            codes, counts = t.level(length)
+            assert np.array_equal(codes, levels[length][0])
+            assert np.array_equal(counts, levels[length][1])
+            probe = np.random.default_rng(length).integers(0, k**length, size=20)
+            assert [t.count(t.decode(int(c), length)) for c in probe] == reference(
+                probe, length).tolist()
+        for length in range(max_len + 1):
+            codes = levels[length][0]
+            successors = codes[:, None] * k + np.arange(k)
+            assert np.array_equal(t.successor_rows(codes, length),
+                                  reference(successors, length + 1))
+        floor = 3
+        steps = list(t.walk((), floor, max_len))
+        assert [step[0] for step in steps] == list(range(max_len + 1))
+        for length, codes, counts, rows in steps:
+            want = levels[length][0]
+            want_rows = reference(want[:, None] * k + np.arange(k), length + 1)
+            kept = want_rows.sum(axis=1) >= floor
+            assert np.array_equal(codes, want[kept])
+            assert np.array_equal(counts, levels[length][1][kept])
+            assert np.array_equal(rows, want_rows[kept])
+        # roots that leave 16-bit codes or wider behind them; one ends the stream
+        for root in ((k - 1,), tuple(s.data[-2:].tolist())):
+            built = build_count_table(s, max_len, root=root)
+            view = t.rooted(root)
+            for length in range(max_len + 2):
+                for got, want in zip(built.level(length), view.level(length)):
+                    assert np.array_equal(got, want)
+            for length in range(max_len + 1):
+                codes = levels[length][0]
+                assert np.array_equal(built.successor_rows(codes, length),
+                                      view.successor_rows(codes, length))
+
+    @pytest.mark.parametrize(
         "codes", [[2.7], [99], [-1], [True], [10**30], ["a"], [[0]], 0],
         ids=["float", "above", "negative", "bool", "huge", "string", "matrix", "scalar"],
     )
@@ -374,6 +441,7 @@ class TestCountTable:
     @example((27, list(range(27)) * 2, 1, (5, 6)))
     @example((2, LONG_BINARY, 6, (1,)))
     @example((2, LONG_BINARY, 9, (0, 1, 1)))
+    @with_examples(*[(case,) for case in ROOTED_EDGES])
     @settings(max_examples=300, deadline=None)
     def test_rooted_build_matches_rooted_view(self, case):
         k, seq, max_len, root = case
@@ -405,6 +473,7 @@ class TestCountTable:
     @example((2, [1], 3, (1, 1)))
     @example((2, [0, 1, 1, 0, 1, 1, 0], 2, (1, 1, 0)))
     @example((2, LONG_BINARY, 6, (1,)))
+    @with_examples(*[(case,) for case in ROOTED_EDGES])
     @settings(max_examples=300, deadline=None)
     def test_walk_starts_from_the_root_count(self, case):
         k, seq, max_len, root = case
@@ -445,8 +514,8 @@ class TestCountTable:
             build_count_table(s, max_len=2, root="1")
 
     def test_build_peak_memory(self):
-        # 2**11 window codes fit 16 bits: two bytes of codes per symbol, read
-        # straight from the one-byte stream, then one byte of run mask
+        # 2**11 window codes fit 16 bits: they are counted 2**16 windows at a
+        # time, so the build holds one block's codes, not one code per window
         n = 2_000_000
         s = SymbolStream(np.random.default_rng(0).integers(0, 2, size=n), BINARY)
         tracemalloc.start()
@@ -455,7 +524,21 @@ class TestCountTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / n < 4
+        assert peak / n < 0.5
+
+    def test_rooted_build_peak_memory(self):
+        # the root's positions are found one block at a time, with no mask
+        # of one byte per symbol; 27**3 codes behind the root fit 16 bits
+        n = 2_000_000
+        alphabet = Alphabet(tuple(str(i) for i in range(27)))
+        s = SymbolStream(np.random.default_rng(0).integers(0, 27, size=n), alphabet)
+        tracemalloc.start()
+        try:
+            build_count_table(s, max_len=3, root=(5,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 1
 
     def test_rooted_beyond_coverage(self):
         t = build_count_table(stream_from("010101"), max_len=2)
