@@ -306,7 +306,7 @@ def _add_stream_flags(p, estimator: bool):
     p.add_argument("--text", action="store_true", help="treat input as text and fold to 27 symbols")
     p.add_argument("--epsilon", type=float, default=0.05, help="derivative tolerance")
     if estimator:
-        p.add_argument("--alpha", type=float, default=0.95, help="confidence level")
+        p.add_argument("--alpha", type=float, default=EstimatorConfig.alpha, help="confidence level")
         p.add_argument("--ext-max", type=int, default=None, help="longest extension")
         p.add_argument("--nmin", type=int, default=EstimatorConfig.min_count, help="extension count floor")
     p.add_argument("--search-length", type=int, default=None, help="sync search depth")
@@ -333,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="uncertainty bound against stream length")
     p.add_argument("--alphabet-size", type=int, required=True)
-    p.add_argument("--alpha", dest="alpha_list", default="0.95", help="comma-separated levels")
+    alpha = str(EstimatorConfig.alpha)
+    p.add_argument("--alpha", dest="alpha_list", default=alpha, help="comma-separated levels")
     p.add_argument(
         "--samples",
         type=int,
@@ -358,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", default=None, help="pfsa text file")
     p.add_argument("--r", type=float, default=1.7499, help="chaotic map parameter")
-    p.add_argument("--x0", type=float, default=0.1)
-    p.add_argument("--burn-in", type=int, default=10_000)
+    p.add_argument("--x0", type=float, default=ChaoticMapConfig.x0)
+    p.add_argument("--burn-in", type=int, default=ChaoticMapConfig.burn_in)
     p.add_argument("--probs", default="0.5,0.5", help="iid symbol probabilities")
     p.add_argument("--input", default=None, help="text file for --source text")
     p.set_defaults(run=cmd_generate)

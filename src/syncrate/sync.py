@@ -172,8 +172,7 @@ def hull_vertex_words(derivs: DerivativeMap) -> list:
     anything is solved.  On 2 vCPUs, random Dirichlet clouds at the caps,
     all vertices or half of them interior, took 0.08-0.12 s for 256 points
     over 8 symbols, 0.15-0.30 s for 256 over 27 and 0.02-0.04 s for 27 over
-    256, against 0.9-1.6 s, 1.2-2.5 s and 0.09-0.29 s with a HiGHS linear
-    program per point.
+    256.
     """
     return list(filter(_vertex_test(derivs), derivs.entries))
 

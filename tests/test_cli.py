@@ -20,11 +20,12 @@ import pytest
 
 import syncrate
 from syncrate import (
+    ChaoticMapConfig,
     EstimatorConfig,
     estimate_entropy_rate,
     lz78_entropy_estimate,
 )
-from syncrate.cli import _load_stream, main
+from syncrate.cli import _load_stream, build_parser, main
 from syncrate.pfsa import (
     analytical_entropy_rate,
     format_pfsa,
@@ -748,6 +749,18 @@ def test_load_stream_alphabet_rule(symbols, labels, tmp_path):
     stream = _load_stream(args)
     assert stream.alphabet.labels == labels
     assert (stream.alphabet == BINARY) == (len(labels) == 2)
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parse = build_parser().parse_args
+    for argv in (["estimate"], ["benchmark", "--checkpoints", "1"]):
+        args = parse([*argv, "--input", "x"])
+        assert (args.alpha, args.nmin) == (EstimatorConfig.alpha, EstimatorConfig.min_count)
+    args = parse(["bounds", "--alphabet-size", "2", "--lengths", "1"])
+    assert float(args.alpha_list) == EstimatorConfig.alpha
+    args = parse(["generate", "--source", "chaos", "--out", "x"])
+    cfg = ChaoticMapConfig(r=args.r, n=args.n)
+    assert (args.x0, args.burn_in) == (cfg.x0, cfg.burn_in)
 
 
 def test_module_entry_point():

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from syncrate import (
     BINARY,
     Alphabet,
+    ChaoticMapConfig,
     InvalidInputError,
     SymbolStream,
+    chaotic_stream,
     lz78_curve,
     lz78_entropy_estimate,
     parse_lz78,
@@ -18,6 +20,13 @@ from syncrate.lz78 import _parse
 
 ABC = Alphabet(("a", "b", "c"))
 ALPHABETS = {k: Alphabet(tuple(str(i) for i in range(k))) for k in (2, 3, 27)}
+
+
+# long inputs for the reference comparison: the chaos stream's longest phrase
+# is 145 symbols, so the bisection runs many rounds; the uniform stream over
+# 27 symbols has phrases of at most 5
+CHAOS_LONG = chaotic_stream(ChaoticMapConfig(r=1.7499, n=200_000)).data.tolist()
+UNIFORM_27 = np.random.default_rng(5).integers(0, 27, size=50_000).tolist()
 
 
 def stream_of(bits, alphabet=BINARY):
@@ -123,6 +132,8 @@ class TestParse:
     @example((2, [0] * 6, [1, 2, 3, 6]))
     @example((27, [26], [1]))
     @example((3, [0, 1, 2, 0, 1, 2, 0], [2, 4]))
+    @example((2, CHAOS_LONG, [1, 1_000, 99_999, 100_000, 200_000]))
+    @example((27, UNIFORM_27, [1, 1_000, 25_000, 49_999, 50_000]))
     @settings(max_examples=300, deadline=None)
     def test_matches_per_symbol_reference(self, case):
         k, symbols, marks = case

@@ -188,24 +188,28 @@ class TestValidation:
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize(
-        "delta, pi",
+        "delta, pi, match",
         [
-            ([[1.9, 1], [0, 1]], [[0.5, 0.5], [0.5, 0.5]]),
-            ([[0.5, 1], [0, 1]], [[0.5, 0.5], [0.5, 0.5]]),
-            ([[np.nan, 1], [0, 1]], [[0.5, 0.5], [0.5, 0.5]]),
-            ([["1", 1], [0, 1]], [[0.5, 0.5], [0.5, 0.5]]),
-            ([[0, 1], [0, 1]], [["a", 0.5], [0.5, 0.5]]),
-            ([[0, 1], [0, 1]], [[1.0], [0.5, 0.5]]),
+            ([[1.9, 1], [0, 1]], [[0.5, 0.5], [0.5, 0.5]], "delta"),
+            ([[0.5, 1], [0, 1]], [[0.5, 0.5], [0.5, 0.5]], "delta"),
+            ([[np.nan, 1], [0, 1]], [[0.5, 0.5], [0.5, 0.5]], "delta"),
+            ([["1", 1], [0, 1]], [[0.5, 0.5], [0.5, 0.5]], "delta"),
+            ([[0, 1], [0, 1]], [["a", 0.5], [0.5, 0.5]], "pi"),
+            ([[0, 1], [0, 1]], [[1.0], [0.5, 0.5]], "pi"),
             # 2**64 - 1 would wrap to the undefined-arc marker -1 in int64
-            (np.array([[1, 2**64 - 1], [0, 1]], dtype=np.uint64), [[1.0, 0.0], [0.5, 0.5]]),
+            (np.array([[1, 2**64 - 1], [0, 1]], dtype=np.uint64), [[1.0, 0.0], [0.5, 0.5]],
+             "delta"),
+            ([[0, 1], [0, 1]], [[0.5, 0.5]], "delta and pi must share shape"),
+            (np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2)), "at least one state"),
+            ([[0, 0, 0]], [[0.5, 0.25, 0.25]], "emission width does not match alphabet size"),
         ],
         ids=[
             "delta-1.9", "delta-0.5", "delta-nan", "delta-str", "pi-str", "pi-ragged",
-            "delta-wraps",
+            "delta-wraps", "shapes-differ", "no-states", "width-not-k",
         ],
     )
-    def test_arrays_of_the_wrong_kind(self, delta, pi):
-        with pytest.raises(InvalidInputError, match="delta|pi"):
+    def test_arrays_of_the_wrong_kind(self, delta, pi, match):
+        with pytest.raises(InvalidInputError, match=match):
             Pfsa(BINARY, delta, pi)
 
     def test_validate_is_idempotent(self):
@@ -447,7 +451,10 @@ class TestSimulate:
 
 class TestTextFormat:
     def test_round_trip(self):
-        for p in (two_state_synchronizable(), two_state_nonsynchronizable()):
+        # state 0's undefined zero-probability arc is left out of the text
+        gap = Pfsa(BINARY, [[1, -1], [0, 1]], [[1.0, 0.0], [0.5, 0.5]])
+        assert len(format_pfsa(gap).splitlines()) == 1 + 3
+        for p in (two_state_synchronizable(), two_state_nonsynchronizable(), gap):
             q = parse_pfsa(format_pfsa(p))
             np.testing.assert_array_equal(q.delta, p.delta)
             np.testing.assert_allclose(q.pi, p.pi)
