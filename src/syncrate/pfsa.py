@@ -314,9 +314,10 @@ def _scan_block(cells, state, sym, nxt, c, dst) -> int:
         t = width
     _walk(starts[:-1], grid[:t], nxt)
     # the walks left each cell's table index in grid: one take reads every
-    # symbol
+    # symbol, and the last real cell's gives the end state, which the
+    # padding of a short last row would move on
     dst[:] = sym.take(grid).T.reshape(-1)[:m]
-    return int(starts[-1])
+    return int(nxt[grid[(m - 1) % width, (m - 1) // width]])
 
 
 def _walk(states, grid, nxt):

@@ -1,5 +1,7 @@
 """Incremental-parse baseline: phrase structure and entropy estimates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,10 +18,15 @@ from syncrate import (
     lz78_entropy_estimate,
     parse_lz78,
 )
-from syncrate.lz78 import _parse
+from syncrate.lz78 import _parse, _stride
 
 ABC = Alphabet(("a", "b", "c"))
-ALPHABETS = {k: Alphabet(tuple(str(i) for i in range(k))) for k in (2, 3, 27)}
+ALPHABETS = {
+    k: Alphabet(tuple(str(i) for i in range(k))) for k in (2, 3, 4, 16, 27, 256)
+}
+# the parse's stride T for each alphabet size: the largest T whose words of
+# 1 to T - 1 symbols number at most 256
+STRIDES = {2: 8, 3: 5, 4: 4, 16: 2, 27: 2, 256: 2}
 
 
 # long inputs for the reference comparison: the chaos stream's longest phrase
@@ -69,19 +76,27 @@ def reference_curve(symbols, marks):
 
 @st.composite
 def streams_with_marks(draw):
-    """A stream over k in {2, 3, 27} plus ascending checkpoints.
+    """A stream over k in ALPHABETS plus ascending checkpoints.
 
-    Streams are mixed, constant or a single symbol.  The checkpoints
+    Streams are mixed, over two symbols, periodic, constant or a single
+    symbol; the two-symbol and periodic ones give phrases several strides
+    long at every k.  The checkpoints
     stop at or before the stream's end and sit on, just before and just
     after phrase ends of the reference parse.
     """
     k = draw(st.sampled_from(sorted(ALPHABETS)))
-    shape = draw(st.sampled_from(["mixed", "constant", "single"]))
+    shape = draw(st.sampled_from(["mixed", "two", "periodic", "constant", "single"]))
     sym = st.integers(min_value=0, max_value=k - 1)
+    length = st.integers(min_value=1, max_value=300)
     if shape == "single":
         symbols = [draw(sym)]
     elif shape == "constant":
-        symbols = [draw(sym)] * draw(st.integers(min_value=1, max_value=300))
+        symbols = [draw(sym)] * draw(length)
+    elif shape == "two":
+        symbols = draw(st.lists(st.sampled_from([0, k - 1]), min_size=1, max_size=300))
+    elif shape == "periodic":
+        period = draw(st.lists(sym, min_size=1, max_size=5))
+        symbols = (period * 300)[: draw(length)]
     else:
         symbols = draw(st.lists(sym, min_size=1, max_size=300))
     last = draw(st.integers(min_value=1, max_value=len(symbols)))
@@ -145,7 +160,7 @@ class TestParse:
         assert parse_lz78(s) == words[1:] + ([tail] if tail else [])
         # a tail miscounted as a phrase ending past the stream would leave
         # the phrases and the curve unchanged; only the offsets show it
-        assert _parse(s.data).tolist() == ends
+        assert _parse(s.data, k).tolist() == ends
         assert lz78_curve(s, marks) == reference_curve(symbols, marks)
 
     @given(streams_with_marks())
@@ -162,6 +177,61 @@ class TestParse:
     @settings(max_examples=150, deadline=None)
     def test_phrase_count_bounds(self, syms):
         assert 1 <= len(parse_lz78(SymbolStream(syms, ABC))) <= len(syms)
+
+
+class TestStrideParse:
+    """The parse keeps only phrases of a multiple of T symbols as nodes, and
+    the shorter extensions of each as bits of its mask."""
+
+    @pytest.mark.parametrize("k", sorted(STRIDES))
+    def test_stride_follows_alphabet_size(self, k):
+        stride, paths = _stride(k)
+        assert stride == STRIDES[k]
+        # every word of 0 to T - 1 symbols, each nonempty one with its own bit
+        assert len(paths) == sum(k**j for j in range(stride))
+        assert max(paths.values()).bit_length() <= 256
+
+    @pytest.mark.parametrize("k", sorted(STRIDES))
+    def test_phrase_ending_on_a_stride_multiple(self, k):
+        # a, aa, ..., a^(2T): phrases T and 2T end exactly on a stride
+        # multiple and become nodes, the others set mask bits
+        t = STRIDES[k]
+        symbols = [k - 1] * (t * (2 * t + 1))
+        ends = _parse(np.array(symbols, dtype=np.uint8), k).tolist()
+        assert ends == [j * (j + 1) // 2 for j in range(1, 2 * t + 1)]
+        assert ends == reference_parse(symbols)[2]
+
+    @pytest.mark.parametrize("k", sorted(STRIDES))
+    def test_stream_ending_inside_a_stride(self, k):
+        # after a, aa, ..., a^(2T) the stream stops T - 2 symbols past the
+        # node a^T, short of the T - 1 that the path lookup reads
+        t = STRIDES[k]
+        tail = [k - 1] * (2 * t - 2)
+        symbols = [k - 1] * (t * (2 * t + 1)) + tail
+        s = SymbolStream(symbols, ALPHABETS[k])
+        assert _parse(s.data, k).tolist() == reference_parse(symbols)[2]
+        assert parse_lz78(s)[-1] == tuple(tail)
+
+    @pytest.mark.parametrize("k", sorted(STRIDES))
+    def test_empty_constant_and_periodic_streams(self, k):
+        period = [0, k - 1, k // 2, k - 1]
+        cases = [[], [0] * 1_000, [k - 1] * 999, period * 300, (period * 300)[:-1]]
+        for symbols in cases:
+            got = _parse(np.array(symbols, dtype=np.uint8), k).tolist()
+            assert got == reference_parse(symbols)[2], len(symbols)
+
+    def test_curve_peak_memory(self):
+        # the phrases are held as about one node per seven, each a dict
+        # entry; a set of every phrase peaked near 5 MB here
+        n = 1_000_000
+        s = chaotic_stream(ChaoticMapConfig(r=1.7499, n=n))
+        tracemalloc.start()
+        try:
+            lz78_curve(s, [n])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
 
 class TestEstimate:

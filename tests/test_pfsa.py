@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncrate import BINARY, Alphabet, InvalidInputError
+from syncrate import pfsa
 from syncrate.streams import DRAW_BLOCK
 from syncrate.pfsa import (
     _SCAN_MAX_STATES,
@@ -429,6 +430,19 @@ class TestSimulate:
                     reference_simulate(p, n, seed, None),
                     err_msg=f"{name}, seed {seed}",
                 )
+
+    def test_padded_block_hands_on_its_end_state(self, monkeypatch):
+        # a block of 1000 cells is 32 rows of 32 with 24 cells of padding,
+        # so each block's end state must come from its last real cell; the
+        # 27-state machine's cell 0 moves every state, unlike the binary one
+        monkeypatch.setattr(pfsa, "DRAW_BLOCK", 1000)
+        p = markov27_machine()
+        for seed in range(5):
+            np.testing.assert_array_equal(
+                simulate(p, 5000, seed=seed).data,
+                reference_simulate(p, 5000, seed, None),
+                err_msg=f"seed {seed}",
+            )
 
     def test_markov27_input_is_pinned(self):
         # the markov27 benchmark's machine at seed 1: its bound_bits rests
