@@ -18,6 +18,7 @@ from syncrate import (
     lz78_entropy_estimate,
     parse_lz78,
 )
+from syncrate import lz78
 from syncrate.lz78 import _parse, _stride
 
 ABC = Alphabet(("a", "b", "c"))
@@ -222,7 +223,9 @@ class TestStrideParse:
 
     def test_curve_peak_memory(self):
         # the phrases are held as about one node per seven, each a dict
-        # entry; a set of every phrase peaked near 5 MB here
+        # entry, and the stream is read one window at a time; a set of
+        # every phrase peaked near 5 MB here, and a copy of the whole
+        # stream beside the nodes near 1.7 MB
         n = 1_000_000
         s = chaotic_stream(ChaoticMapConfig(r=1.7499, n=n))
         tracemalloc.start()
@@ -231,7 +234,64 @@ class TestStrideParse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3_000_000
+        assert peak < 1_200_000
+
+
+class WindowReads:
+    """A stream that records where each slice taken of it stops."""
+
+    def __init__(self, data):
+        self.data = data
+        self.stops = []
+
+    def __len__(self):
+        return len(self.data)
+
+    def __getitem__(self, cut):
+        self.stops.append(cut.stop)
+        return self.data[cut]
+
+
+class TestWindow:
+    """The parse reads the stream through windows of ``_WINDOW`` symbols
+    plus room for the longest phrase; a match that reaches a window's end
+    starts over at the next window's start."""
+
+    @pytest.mark.parametrize("k", [2, 3, 16, 27, 256])
+    def test_small_windows_match_reference(self, monkeypatch, k):
+        t = STRIDES[k]
+        period = [0, k - 1, k // 2, k - 1, 0]
+        inputs = [
+            CHAOS_LONG[:20_000],
+            [sym % k for sym in UNIFORM_27[:10_000]],
+            [k - 1] * 3_000,
+            period * 600,
+        ]
+        references = [reference_parse(symbols)[2] for symbols in inputs]
+        for window in sorted({1, 2, t - 1, t, t + 1, 64}):
+            monkeypatch.setattr(lz78, "_WINDOW", window)
+            for symbols, ends in zip(inputs, references):
+                data = np.array(symbols, dtype=np.uint8)
+                reads = WindowReads(data)
+                assert _parse(reads, k).tolist() == ends, window
+                # a prefix that ends exactly where one of its windows ends;
+                # the parse of a prefix keeps the phrases ending inside it
+                cut = reads.stops[len(reads.stops) // 2]
+                assert cut < len(data)
+                reads = WindowReads(data[:cut])
+                got = _parse(reads, k).tolist()
+                assert reads.stops[-1] == cut
+                assert got == [e for e in ends if e <= cut], window
+
+    @given(streams_with_marks(), st.integers(min_value=1, max_value=40))
+    @settings(max_examples=200, deadline=None)
+    def test_any_window_matches_reference(self, case, window):
+        k, symbols, marks = case
+        s = SymbolStream(symbols, ALPHABETS[k])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lz78, "_WINDOW", window)
+            assert _parse(s.data, k).tolist() == reference_parse(symbols)[2]
+            assert lz78_curve(s, marks) == reference_curve(symbols, marks)
 
 
 class TestEstimate:
