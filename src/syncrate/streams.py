@@ -393,12 +393,13 @@ def _root_hits(data, root, start: int, size: int) -> np.ndarray:
 
 
 def _block_codes(data, start: int, size: int, width: int, k: int, bufs) -> np.ndarray:
-    """uint16 codes of the ``size`` windows of ``width`` symbols of ``data``
-    from ``start``, built in the two reused rows of ``bufs``.  The code of w
-    symbols at j, times k**w, plus the code of the w symbols at j + w is the
-    code of 2w symbols at j.  Doubling w, and adding one symbol for each set
-    bit of ``width``, takes about 2 log2(width) passes over the block where
-    adding one symbol at a time takes 2 width."""
+    """Codes of the ``size`` windows of ``width`` symbols of ``data`` from
+    ``start``, built in the two reused rows of ``bufs``, whose dtype must
+    hold k**width - 1.  The code of w symbols at j, times k**w, plus the
+    code of the w symbols at j + w is the code of 2w symbols at j.  Doubling
+    w, and adding one symbol for each set bit of ``width``, takes about
+    2 log2(width) passes over the block where adding one symbol at a time
+    takes 2 width."""
     cur, nxt = bufs
     if not width:
         cur[:size] = 0

@@ -1,5 +1,6 @@
 """Incremental-parse baseline: phrase structure and entropy estimates."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -17,9 +18,11 @@ from syncrate import (
     lz78_curve,
     lz78_entropy_estimate,
     parse_lz78,
+    simulate,
 )
 from syncrate import lz78
 from syncrate.lz78 import _parse, _stride
+from test_estimator import markov27_machine
 
 ABC = Alphabet(("a", "b", "c"))
 ALPHABETS = {
@@ -31,8 +34,8 @@ STRIDES = {2: 8, 3: 5, 4: 4, 16: 2, 27: 2, 256: 2}
 
 
 # long inputs for the reference comparison: the chaos stream's longest phrase
-# is 145 symbols, so the bisection runs many rounds; the uniform stream over
-# 27 symbols has phrases of at most 5
+# is 145 symbols, so a match walks up to 18 nodes of T = 8 symbols; the
+# uniform stream over 27 symbols has phrases of at most 5
 CHAOS_LONG = chaotic_stream(ChaoticMapConfig(r=1.7499, n=200_000)).data.tolist()
 UNIFORM_27 = np.random.default_rng(5).integers(0, 27, size=50_000).tolist()
 
@@ -188,9 +191,17 @@ class TestStrideParse:
     def test_stride_follows_alphabet_size(self, k):
         stride, paths = _stride(k)
         assert stride == STRIDES[k]
-        # every word of 0 to T - 1 symbols, each nonempty one with its own bit
-        assert len(paths) == sum(k**j for j in range(stride))
-        assert max(paths.values()).bit_length() <= 256
+        # one entry per word of T symbols, by code: the path of its first
+        # T - 1 symbols, then the bit of each of their nonempty prefixes,
+        # shortest first
+        assert len(paths) == k**stride
+        for path, *prefixes in paths:
+            assert [bit.bit_count() for bit in prefixes] == [1] * (stride - 1)
+            assert prefixes == sorted(prefixes)
+            assert sum(prefixes) == path
+        # each word of 1 to T - 1 symbols has its own bit
+        words = sum(k**j for j in range(1, stride))
+        assert max(path for path, *_ in paths).bit_length() == words <= 256
 
     @pytest.mark.parametrize("k", sorted(STRIDES))
     def test_phrase_ending_on_a_stride_multiple(self, k):
@@ -220,6 +231,24 @@ class TestStrideParse:
         for symbols in cases:
             got = _parse(np.array(symbols, dtype=np.uint8), k).tolist()
             assert got == reference_parse(symbols)[2], len(symbols)
+
+    def test_parse_is_pinned(self):
+        # the chaos-curve benchmark's LZ78 values rest on these phrase ends,
+        # so a rewrite of the parse must keep them
+        cases = [
+            (
+                chaotic_stream(ChaoticMapConfig(r=1.7499, n=1_000_000)).data,
+                2,
+                "43cc0faa6941f53966f762f836720362aead06f38d946060740b5f8cd98c8998",
+            ),
+            (
+                simulate(markov27_machine(), 200_000, seed=1).data,
+                27,
+                "aa8a8341d52cac8a586092d03d43f596b9ab695dad2bc290e6b8f201539a97f2",
+            ),
+        ]
+        for data, k, digest in cases:
+            assert hashlib.sha256(_parse(data, k).tobytes()).hexdigest() == digest, k
 
     def test_curve_peak_memory(self):
         # the phrases are held as about one node per seven, each a dict
@@ -282,6 +311,24 @@ class TestWindow:
                 got = _parse(reads, k).tolist()
                 assert reads.stops[-1] == cut
                 assert got == [e for e in ends if e <= cut], window
+
+    @pytest.mark.parametrize("k", sorted(STRIDES))
+    def test_window_ending_inside_a_node_code(self, monkeypatch, k):
+        # 0, 00, ..., 0^T make 0^T the first node; the next phrase starts
+        # with 0^j and then k - 1, and the first window ends after its j
+        # zeros.  Read as 0 past the window, the code there is the node 0^T,
+        # though the stream's next T symbols are not a node
+        t = STRIDES[k]
+        start = t * (t + 1) // 2
+        rest = [sym % k for sym in UNIFORM_27[:300]]
+        for j in range(1, t):
+            symbols = [0] * (start + j) + [k - 1] * (t - j) + rest
+            # the first window, read before any node exists, holds
+            # _WINDOW + T symbols
+            monkeypatch.setattr(lz78, "_WINDOW", start + j - t)
+            reads = WindowReads(np.array(symbols, dtype=np.uint8))
+            assert _parse(reads, k).tolist() == reference_parse(symbols)[2], j
+            assert reads.stops[0] == start + j
 
     @given(streams_with_marks(), st.integers(min_value=1, max_value=40))
     @settings(max_examples=200, deadline=None)
